@@ -199,7 +199,12 @@ def cmd_reconstruct(args) -> int:
     g = graph_from_json(_read_json(directory / "graph.json"))
     inner = _load_inner(directory, args.q)
     selection_path = Path(args.selection) if args.selection else directory / f"selection_{args.q}.json"
-    selection = _read_json(selection_path)
+    # only PoCS uses the selection, for its default cutoff
+    omega = args.omega
+    if args.method == "pocs" and omega is None:
+        omega = float(_read_json(selection_path)["cutoffs"][-1])
+    else:
+        selection_path = None
     samples = _read_json(Path(args.samples))
     vertices = np.asarray(samples["vertices"], dtype=int)
     values = np.asarray(samples["values"], dtype=float)
@@ -214,7 +219,6 @@ def cmd_reconstruct(args) -> int:
             report = consistent_reconstruct(basis, vertices, values, band=args.band, truth=truth)
         else:
             lam_max = estimate_lambda_max(lap, inner)
-            omega = args.omega if args.omega is not None else float(selection["cutoffs"][-1])
             params = PocsParams(
                 omega=omega,
                 lambda_max=lam_max,
@@ -251,7 +255,7 @@ def cmd_reconstruct(args) -> int:
                     "max_iters": args.max_iters,
                     "rel_tol": args.rel_tol,
                     "samples": str(args.samples),
-                    "selection": str(selection_path),
+                    "selection": str(selection_path) if selection_path else None,
                     "truth": str(args.truth) if args.truth else None,
                     "out": str(out),
                 },

@@ -46,7 +46,11 @@ class RankDeficientError(GraphSamplingError):
 
 
 class SingularGramError(GraphSamplingError):
-    """The reconstruction Gram matrix is numerically singular."""
+    """The reconstruction Gram matrix is numerically singular.
+
+    ``sigma_min`` is the smallest singular value of the weighted sampled-mode
+    matrix, i.e. the square root of the Gram matrix's smallest eigenvalue.
+    """
 
     def __init__(self, sigma_min: float):
         self.sigma_min = sigma_min

@@ -174,12 +174,23 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    """Rebuild a graph from its JSON dict, symmetrizing the listed edges."""
+    """Rebuild a graph from its JSON dict, symmetrizing the listed edges.
+
+    Each edge may be listed once; a repeated ``(i, j)`` pair is rejected
+    rather than silently overwriting the earlier weight.
+    """
     n = int(data["n"])
-    w = np.zeros((n, n))
+    rows, cols, vals = [], [], []
     for i, j, val in data["edges"]:
         i, j = int(i), int(j)
         if not 0 <= i < j < n:
             raise ValueError("edges must satisfy 0 <= i < j < n")
-        w[i, j] = w[j, i] = float(val)
-    return Graph(w)
+        rows.append(i)
+        cols.append(j)
+        vals.append(float(val))
+    keys = np.sort(np.asarray(rows, dtype=np.intp) * n + np.asarray(cols, dtype=np.intp))
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("an edge is listed more than once")
+    w = np.zeros((n, n))
+    w[rows, cols] = vals
+    return Graph(w + w.T)

@@ -55,7 +55,7 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(gram)
-        raise SingularGramError(float(max(w[0], 0.0))) from None
+        raise SingularGramError(float(np.sqrt(max(w[0], 0.0)))) from None
     return np.linalg.solve(gram, rhs)
 
 

@@ -14,7 +14,7 @@ from .errors import (
     ZeroSignalError,
 )
 from .graphs import InnerProduct, complement, q_norm, vertex_set
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, compute_basis
 
 DEFAULT_PROXY_ORDER = 3
 
@@ -132,14 +132,16 @@ def cutoff_frequency(
     smallest = max(float(vals[0]), 0.0)
     omega = smallest ** (1.0 / (2.0 * k))
 
-    phi_keep = vecs[:, 0] / np.sqrt(q[keep])
-    phi_keep /= np.linalg.norm(phi_keep)
-    lead = np.argmax(np.abs(phi_keep) > 1e-12)
-    if phi_keep[lead] < 0.0:
-        phi_keep = -phi_keep
     phi = np.zeros(n)
-    phi[keep] = phi_keep
+    phi[keep] = _canonical_sign(vecs[:, 0] / np.sqrt(q[keep]))
     return CutoffEstimate(omega, phi)
+
+
+def _canonical_sign(phi: np.ndarray) -> np.ndarray:
+    """Unit-norm copy of ``phi`` whose first entry above 1e-12 in magnitude is positive."""
+    phi = phi / np.linalg.norm(phi)
+    lead = np.argmax(np.abs(phi) > 1e-12)
+    return -phi if phi[lead] < 0.0 else phi
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,67 @@ class SamplingResult:
         return np.sort(self.order[:m])
 
 
+def _best_singleton(variation, inner: InnerProduct, k: int) -> tuple[int, CutoffEstimate]:
+    """Exact cutoff of every singleton sampling set from one eigendecomposition.
+
+    With ``B = Q^{-1/2} L Q^{-1/2} = V diag(lam) V^T`` and ``d = lam ** (2k)``,
+    the cutoff of ``{i}`` is the (2k)-th root of the smallest eigenvalue of
+    ``V diag(d) V^T`` with row and column ``i`` deleted. By interlacing that
+    eigenvalue lies in ``[d_0, d_1]``, where it is the root of the secular
+    equation ``sum_j V_ij^2 / (d_j - mu) = 0`` (Golub, "Some modified matrix
+    eigenvalue problems", SIAM Review 1973). The root is bracketed by
+    bisection for all vertices at once, to ``2 eps`` relative accuracy or to
+    the ``eps^2 d_max`` noise floor of the eigendecomposition.
+
+    Returns the vertex with the largest cutoff (lowest id on ties) and its
+    estimate.
+    """
+    basis = compute_basis(variation, inner)
+    root_q = np.sqrt(inner.entries)
+    v = basis.modes * root_q[:, None]
+    d = basis.frequencies ** (2 * k)
+    w = v * v
+    n = inner.n
+    eps = np.finfo(float).eps
+    floor = max(eps * eps * float(d[-1]), np.finfo(float).tiny)
+
+    def tol(hi):
+        return 2.0 * eps * hi + floor
+
+    lo = np.full(n, d[0])
+    hi = np.full(n, d[1])
+    active = np.flatnonzero(hi - lo > tol(hi))
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        # every pole lies outside the open bracket, so no term divides by zero
+        secular = (w[active] / (d[None, :] - mid[:, None])).sum(axis=1)
+        below = secular < 0.0
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[hi[active] - lo[active] > tol(hi[active])]
+    mu = 0.5 * (lo + hi)
+
+    best = int(np.argmax(mu))
+    gap = d - mu[best]
+    hit = np.flatnonzero(np.abs(gap) <= tol(hi[best]))
+    row = v[best]
+    if hit.size:
+        # mu equals an eigenvalue: the minimizer lies in that eigenspace, as
+        # the combination of its modes that vanishes at the deleted vertex
+        r = row[hit]
+        j = int(np.argmin(np.abs(r)))
+        coeffs = np.eye(hit.size)[j]
+        if hit.size > 1 and r @ r > 0.0:
+            coeffs = coeffs - r * (r[j] / (r @ r))
+        z = v[:, hit] @ coeffs
+    else:
+        z = v @ (row / gap)
+    phi = z / root_q
+    phi[best] = 0.0
+    omega = max(float(mu[best]), 0.0) ** (1.0 / (2.0 * k))
+    return best, CutoffEstimate(omega, _canonical_sign(phi))
+
+
 def greedy_select(
     variation,
     inner: InnerProduct,
@@ -176,9 +239,11 @@ def greedy_select(
 
     The first vertex is chosen by scoring every singleton set exactly: the
     minimizer for the empty set is the constant kernel mode, whose entries
-    carry no per-vertex information. Each subsequent vertex is the one with
-    the largest magnitude in the current minimizer, ties going to the
-    lowest vertex id. Deterministic for fixed inputs.
+    carry no per-vertex information. All ``n`` singleton cutoffs come from
+    one eigendecomposition and a vectorized secular-equation solve, so this
+    phase costs O(n^3). Each subsequent vertex is the one with the largest
+    magnitude in the current minimizer, ties going to the lowest vertex id.
+    Deterministic for fixed inputs.
 
     Raises
     ------
@@ -190,18 +255,10 @@ def greedy_select(
     m = int(m)
     if not 1 <= m < n:
         raise InvalidTargetError(f"sampling set size must be in [1, {n}), got {m}")
-    gram = proxy_gram(variation, inner, k)
-
-    best_vertex = -1
-    best: CutoffEstimate | None = None
-    for i in range(n):
-        est = cutoff_frequency(variation, inner, [i], k, gram=gram)
-        if best is None or est.omega > best.omega:
-            best_vertex, best = i, est
-
+    best_vertex, current = _best_singleton(variation, inner, k)
     order = [best_vertex]
-    cutoffs = [best.omega]
-    current = best
+    cutoffs = [current.omega]
+    gram = proxy_gram(variation, inner, k) if m > 1 else None
     while len(order) < m:
         scores = np.abs(current.minimizer)
         scores[order] = -1.0
@@ -255,5 +312,5 @@ def a_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
     gram = u.T @ (q_s[:, None] * u)
     w = np.linalg.eigvalsh(gram)
     if w[0] <= 1e-13 * max(float(w[-1]), 1e-300):
-        raise SingularGramError(float(max(w[0], 0.0)))
+        raise SingularGramError(float(np.sqrt(max(w[0], 0.0))))
     return float(np.sum(1.0 / w))

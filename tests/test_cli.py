@@ -121,6 +121,20 @@ class TestReconstruct:
         report = read_json(tmp_path / "reconstruction.json")
         assert report["q_error"] <= 1e-8
 
+    def test_closed_form_needs_no_selection_file(self, tmp_path):
+        self.prepare(tmp_path)
+        (tmp_path / "selection_degree.json").unlink()
+        code = main([
+            "reconstruct", "--dir", str(tmp_path), "--q", "degree",
+            "--samples", str(tmp_path / "samples.json"),
+            "--truth", str(tmp_path / "truth.json"),
+            "--method", "closed-form", "--band", "6",
+        ])
+        assert code == 0
+        report = read_json(tmp_path / "reconstruction.json")
+        assert report["q_error"] <= 1e-8
+        assert report["manifest"]["parameters"]["selection"] is None
+
     def test_pocs_reports_iterations(self, tmp_path):
         self.prepare(tmp_path)
         code = main([

@@ -182,6 +182,10 @@ class TestGraphJson:
         with pytest.raises(ValueError):
             gs.graph_from_json({"n": 3, "edges": [[2, 0, 1.0]]})
 
+    def test_repeated_edge_rejected(self):
+        with pytest.raises(ValueError, match="more than once"):
+            gs.graph_from_json({"n": 3, "edges": [[0, 2, 1.0], [1, 2, 1.0], [0, 2, 0.5]]})
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 3), st.integers(4, 5), st.floats(0.01, 10.0)),

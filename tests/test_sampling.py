@@ -1,6 +1,7 @@
 """Bandwidth proxies, cutoff estimates, greedy selection, and design metrics."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ def star_graph(n=5):
     w = np.zeros((n, n))
     w[0, 1:] = 1.0
     w[1:, 0] = 1.0
+    return gs.Graph(w)
+
+
+def two_triangles():
+    w = np.zeros((6, 6))
+    for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
+        w[i, j] = w[j, i] = 1.0
     return gs.Graph(w)
 
 
@@ -163,6 +171,26 @@ class TestGreedySelect:
         oracle, _ = brute_force_singleton(lap, inner, 3)
         assert res.order[0] == oracle == 0
 
+    @pytest.mark.parametrize("variant", ["identity", "degree", "voronoi"])
+    def test_first_pick_matches_exhaustive_search_at_n100(self, variant):
+        pc, g, lap = geometric_instance(seed=3, n=100)
+        inner = all_inners(g, pc)[variant]
+        res = gs.greedy_select(lap, inner, 1, k=3)
+        oracle, value = brute_force_singleton(lap, inner, 3)
+        assert res.order[0] == oracle
+        assert abs(res.cutoffs[0] - value) <= 1e-9 * value
+
+    @pytest.mark.parametrize("graph", [star_graph(5), two_triangles()], ids=["star", "triangles"])
+    def test_degenerate_singletons_stay_finite(self, graph):
+        # repeated eigenvalues and modes vanishing at a vertex put the
+        # singleton eigenvalue on a pole of the secular equation
+        lap = gs.combinatorial_laplacian(graph)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = gs.greedy_select(lap, gs.identity_inner_product(graph.n), 3, k=3)
+        assert np.unique(res.order).size == 3
+        assert np.isfinite(res.cutoffs).all()
+
     def test_pair_selection_within_exhaustive_range(self):
         pc, g, lap = geometric_instance(seed=12, n=8, kernel_sigma=2.0)
         inner = gs.voronoi_areas(pc)
@@ -241,10 +269,7 @@ class TestEOptMetric:
 
     def test_rank_deficient_flagged(self):
         # two disconnected triangles: the 2-mode band collapses on one component
-        w = np.zeros((6, 6))
-        for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
-            w[i, j] = w[j, i] = 1.0
-        lap = gs.combinatorial_laplacian(gs.Graph(w))
+        lap = gs.combinatorial_laplacian(two_triangles())
         basis = gs.compute_basis(lap, gs.identity_inner_product(6))
         with pytest.raises(RankDeficientError):
             gs.e_opt_metric(basis, [0, 1], 2)
@@ -280,3 +305,15 @@ class TestAOptMetric:
         basis = gs.compute_basis(lap, gs.identity_inner_product(8))
         with pytest.raises(SingularGramError):
             gs.a_opt_metric(basis, [1, 4], 3)
+
+    def test_singular_gram_reports_design_singular_value(self):
+        # sampled rows diag(1, delta) of an orthogonal mode matrix: the Gram
+        # eigenvalue delta^2 is below the cutoff, the payload must be delta
+        delta = 1e-7
+        c = np.sqrt(1.0 - delta * delta)
+        modes = np.array([[1.0, 0.0, 0.0], [0.0, delta, c], [0.0, c, -delta]])
+        basis = gs.SpectralBasis(modes, np.array([0.0, 1.0, 2.0]), gs.identity_inner_product(3))
+        oracle = np.linalg.svd(modes[:2, :2], compute_uv=False)[-1]
+        with pytest.raises(SingularGramError) as info:
+            gs.a_opt_metric(basis, [0, 1], 2)
+        assert info.value.sigma_min == pytest.approx(oracle, rel=1e-6)
