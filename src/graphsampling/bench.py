@@ -10,27 +10,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RankDeficientError, SingularGramError
-from .geometry import (
-    GeoConfig,
-    gaussian_kernel_graph,
-    add_noise,
-    sample_points,
-    sinewave_signal,
-    voronoi_areas,
-)
+from .geometry import GeoConfig, add_noise, build_instance, sinewave_signal, voronoi_areas
 from .graphs import (
+    VARIANTS,
     Graph,
     InnerProduct,
-    combinatorial_laplacian,
     degree_matrix,
     identity_inner_product,
     q_norm,
 )
 from .reconstruction import PocsParams, consistent_reconstruct, pocs_reconstruct
-from .sampling import e_opt_metric, greedy_select
+from .sampling import _greedy_from_basis, e_opt_metric
 from .spectral import compute_basis, estimate_lambda_max
 
-VARIANTS = ("identity", "degree", "voronoi")
 RECON_METHODS = ("closed-form", "pocs")
 
 CSV_COLUMNS = (
@@ -154,15 +146,11 @@ def run_bound_experiment(
     variants = tuple(variants)
 
     def one(idx: int) -> np.ndarray:
-        rng = realization_rng(cfg.seed, idx)
-        pc = sample_points(cfg, rng)
-        g = gaussian_kernel_graph(pc, cfg.kernel_sigma)
-        lap = combinatorial_laplacian(g)
+        pc, g, lap = build_instance(cfg, realization_rng(cfg.seed, idx))
         cells = np.empty((len(variants), len(sizes)))
         for vi, variant in enumerate(variants):
-            inner = inner_for_variant(variant, g, pc)
-            selection = greedy_select(lap, inner, m_max, k=cfg.proxy_k)
-            basis = compute_basis(lap, inner)
+            basis = compute_basis(lap, inner_for_variant(variant, g, pc))
+            selection = _greedy_from_basis(lap, basis, m_max, cfg.proxy_k)
             for si, size in enumerate(sizes):
                 try:
                     value = e_opt_metric(basis, selection.head(size), size)
@@ -224,10 +212,10 @@ def run_mse_experiment(
 
     def one(idx: int) -> np.ndarray:
         rng = realization_rng(cfg.seed, idx)
-        pc = sample_points(cfg, rng)
-        g = gaussian_kernel_graph(pc, cfg.kernel_sigma)
-        lap = combinatorial_laplacian(g)
-        metric = voronoi_areas(pc)
+        pc, g, lap = build_instance(cfg, rng)
+        # the Voronoi areas are also the error metric; build each inner product once
+        inners = {v: inner_for_variant(v, g, pc) for v in dict.fromkeys(("voronoi", *variants))}
+        metric = inners["voronoi"]
         truths = {c: sinewave_signal(pc, c) for c in cycles}
         # one noise draw per (signal, level), shared by all variants and sizes
         noisy = {}
@@ -237,9 +225,9 @@ def run_mse_experiment(
 
         cells = np.empty((len(variants), len(cycles), len(sigmas), len(sizes)))
         for vi, variant in enumerate(variants):
-            inner = inner_for_variant(variant, g, pc)
-            selection = greedy_select(lap, inner, m_max, k=cfg.proxy_k)
-            basis = compute_basis(lap, inner) if method == "closed-form" else None
+            inner = inners[variant]
+            basis = compute_basis(lap, inner)
+            selection = _greedy_from_basis(lap, basis, m_max, cfg.proxy_k)
             lam_max = estimate_lambda_max(lap, inner) if method == "pocs" else None
             for si, size in enumerate(sizes):
                 chosen = selection.head(size)

@@ -14,25 +14,14 @@ import numpy as np
 from . import __version__
 from .bench import (
     RECON_METHODS,
-    VARIANTS,
     ResultTable,
+    inner_for_variant,
     run_bound_experiment,
     run_mse_experiment,
 )
-from .errors import (
-    GraphSamplingError,
-    InvalidTargetError,
-    SingularGramError,
-)
-from .geometry import GeoConfig, PointCloud, gaussian_kernel_graph, voronoi_areas
-from .graphs import (
-    InnerProduct,
-    combinatorial_laplacian,
-    degree_matrix,
-    graph_from_json,
-    graph_to_json,
-    identity_inner_product,
-)
+from .errors import GraphSamplingError, SingularGramError
+from .geometry import GeoConfig, build_instance
+from .graphs import VARIANTS, InnerProduct, combinatorial_laplacian, graph_from_json, graph_to_json
 from .reconstruction import PocsParams, consistent_reconstruct, pocs_reconstruct
 from .sampling import greedy_select
 from .spectral import compute_basis, estimate_lambda_max
@@ -119,30 +108,16 @@ def _parse_variants(text: str) -> list[str]:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1 or args.side <= 0 or args.kernel_sigma <= 0:
-        print("error: need --n >= 1 and positive --side/--kernel-sigma", file=sys.stderr)
-        return _EXIT_USAGE
+    cfg = GeoConfig(n=args.n, side=args.side, kernel_sigma=args.kernel_sigma, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # drawn inline so instances smaller than the benchmark minimum still work
-    rng = np.random.default_rng(args.seed)
-    while True:
-        pts = rng.uniform(0.0, args.side, size=(args.n, 2))
-        if np.unique(pts, axis=0).shape[0] == args.n:
-            break
-    pc = PointCloud(pts, args.side)
-    g = gaussian_kernel_graph(pc, args.kernel_sigma)
+    pc, g = build_instance(cfg, np.random.default_rng(cfg.seed))[:2]
 
     _write_json(out / "points.json", {"side": pc.side, "positions": pc.positions.tolist()})
     _write_json(out / "graph.json", graph_to_json(g))
     variants = list(VARIANTS) if args.q == "all" else [args.q]
     for variant in variants:
-        if variant == "identity":
-            inner = identity_inner_product(g.n)
-        elif variant == "degree":
-            inner = degree_matrix(g)
-        else:
-            inner = voronoi_areas(pc)
+        inner = inner_for_variant(variant, g, pc)
         _write_json(out / f"q_{variant}.json", {"variant": variant, "entries": inner.entries.tolist()})
     _write_json(
         out / "manifest.json",
@@ -169,12 +144,7 @@ def cmd_select(args) -> int:
         return _EXIT_USAGE
     g = graph_from_json(_read_json(directory / "graph.json"))
     inner = _load_inner(directory, args.q)
-    lap = combinatorial_laplacian(g)
-    try:
-        result = greedy_select(lap, inner, args.m, k=args.k)
-    except InvalidTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    result = greedy_select(combinatorial_laplacian(g), inner, args.m, k=args.k)
     out = Path(args.out) if args.out else directory / f"selection_{args.q}.json"
     _write_json(
         out,
@@ -206,31 +176,27 @@ def cmd_reconstruct(args) -> int:
     else:
         selection_path = None
     samples = _read_json(Path(args.samples))
-    vertices = np.asarray(samples["vertices"], dtype=int)
+    vertices = np.asarray(samples["vertices"])
     values = np.asarray(samples["values"], dtype=float)
     truth = None
     if args.truth:
         truth = np.asarray(_read_json(Path(args.truth))["values"], dtype=float)
 
     lap = combinatorial_laplacian(g)
-    try:
-        if args.method == "closed-form":
-            basis = compute_basis(lap, inner)
-            report = consistent_reconstruct(basis, vertices, values, band=args.band, truth=truth)
-        else:
-            lam_max = estimate_lambda_max(lap, inner)
-            params = PocsParams(
-                omega=omega,
-                lambda_max=lam_max,
-                alpha=args.alpha,
-                cheb_order=args.cheb_order,
-                max_iters=args.max_iters,
-                rel_tol=args.rel_tol,
-            )
-            report = pocs_reconstruct(lap, inner, vertices, values, params, truth=truth)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    if args.method == "closed-form":
+        basis = compute_basis(lap, inner)
+        report = consistent_reconstruct(basis, vertices, values, band=args.band, truth=truth)
+    else:
+        lam_max = estimate_lambda_max(lap, inner)
+        params = PocsParams(
+            omega=omega,
+            lambda_max=lam_max,
+            alpha=args.alpha,
+            cheb_order=args.cheb_order,
+            max_iters=args.max_iters,
+            rel_tol=args.rel_tol,
+        )
+        report = pocs_reconstruct(lap, inner, vertices, values, params, truth=truth)
 
     out = Path(args.out) if args.out else directory / "reconstruction.json"
     _write_json(
@@ -497,6 +463,13 @@ def main(argv=None) -> int:
     except SingularGramError as exc:
         print(f"error: singular Gram matrix (sigma_min = {exc.sigma_min:.6e})", file=sys.stderr)
         return _EXIT_NUMERICAL
+    # bad input: malformed JSON, out-of-range values and the library's ValueError subclasses
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    except KeyError as exc:
+        print(f"error: missing key {exc} in an input file", file=sys.stderr)
+        return _EXIT_USAGE
     except GraphSamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCellError
-from .graphs import Graph, InnerProduct
-
-Q_CHOICES = ("identity", "degree", "voronoi")
+from .graphs import Graph, InnerProduct, combinatorial_laplacian
 
 
 @dataclass(frozen=True)
@@ -43,20 +41,17 @@ class GeoConfig:
     side: float = 10.0
     kernel_sigma: float = 1.0
     seed: int = 0
-    q_variant: str = "voronoi"
     proxy_k: int = 3
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need at least 3 vertices")
+        if self.n < 1:
+            raise ValueError("need at least 1 vertex")
         if not self.side > 0:
             raise ValueError("side must be positive")
         if not self.kernel_sigma > 0:
             raise ValueError("kernel_sigma must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.q_variant not in Q_CHOICES:
-            raise ValueError(f"q_variant must be one of {Q_CHOICES}")
         if self.proxy_k < 1:
             raise ValueError("proxy_k must be a positive integer")
 
@@ -71,6 +66,17 @@ def sample_points(cfg: GeoConfig, rng: np.random.Generator) -> PointCloud:
         pts = rng.uniform(0.0, cfg.side, size=(cfg.n, 2))
         if np.unique(pts, axis=0).shape[0] == cfg.n:
             return PointCloud(pts, cfg.side)
+
+
+def build_instance(cfg: GeoConfig, rng: np.random.Generator) -> tuple[PointCloud, Graph, np.ndarray]:
+    """Point cloud, Gaussian kernel graph and its Laplacian for one instance.
+
+    Only the point draw consumes ``rng``, so a caller can keep drawing from
+    it afterwards (noise, for instance) with a reproducible stream.
+    """
+    pc = sample_points(cfg, rng)
+    g = gaussian_kernel_graph(pc, cfg.kernel_sigma)
+    return pc, g, combinatorial_laplacian(g)
 
 
 def gaussian_kernel_graph(pc: PointCloud, sigma: float) -> Graph:

@@ -12,7 +12,8 @@ from .errors import (
     ZeroDegreeError,
 )
 
-Q_VARIANTS = ("identity", "degree", "voronoi", "custom")
+# the inner products of the experiments; ``InnerProduct`` also accepts "custom"
+VARIANTS = ("identity", "degree", "voronoi")
 
 
 def _freeze(values, dtype=float) -> np.ndarray:
@@ -68,7 +69,7 @@ class InnerProduct:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.variant not in Q_VARIANTS:
+        if self.variant not in (*VARIANTS, "custom"):
             raise ValueError(f"unknown inner product variant: {self.variant!r}")
         q = np.array(self.entries, dtype=float)
         if q.ndim != 1 or q.size < 1:

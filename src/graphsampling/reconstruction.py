@@ -30,11 +30,10 @@ class ReconstructionReport:
     history: tuple[np.ndarray, ...] | None = None
 
 
-def _paired_samples(sampled, values, n: int):
-    """Validate sample locations/values and sort the pairs by vertex id."""
+def _sample_vertices(sampled, n: int):
+    """Validate sample locations; return them sorted by vertex id, and the sorting permutation."""
     s = np.asarray(sampled)
-    y = np.asarray(values, dtype=float)
-    if s.ndim != 1 or y.ndim != 1 or s.shape != y.shape:
+    if s.ndim != 1:
         raise DimensionMismatchError("sampled vertices and values must be equally long vectors")
     if s.size == 0:
         raise EmptyVertexSetError("at least one sample is required")
@@ -44,10 +43,28 @@ def _paired_samples(sampled, values, n: int):
     if s.min() < 0 or s.max() >= n:
         raise ValueError(f"vertex id out of range [0, {n})")
     order = np.argsort(s, kind="stable")
-    s, y = s[order], y[order]
+    s = s[order]
     if np.any(s[1:] == s[:-1]):
         raise ValueError("duplicate sampled vertices")
-    return s, y
+    return s, order
+
+
+def _paired_samples(sampled, values, n: int):
+    """Validate sample locations/values and sort the pairs by vertex id."""
+    s = np.asarray(sampled)
+    y = np.asarray(values, dtype=float)
+    if s.shape != y.shape:
+        raise DimensionMismatchError("sampled vertices and values must be equally long vectors")
+    s, order = _sample_vertices(s, n)
+    return s, y[order]
+
+
+def _design(basis: SpectralBasis, sampled: np.ndarray, band: int):
+    """The sampled design: rows of the first ``band`` modes and the weights at ``sampled``.
+
+    ``sampled`` must already be validated and sorted.
+    """
+    return basis.modes[sampled][:, :band], basis.inner.entries[sampled]
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -93,8 +110,7 @@ def consistent_reconstruct(
     band = s.size if band is None else int(band)
     if not 1 <= band <= s.size:
         raise ValueError(f"band must lie in [1, {s.size}]")
-    u_s = basis.modes[s][:, :band]
-    q_s = basis.inner.entries[s]
+    u_s, q_s = _design(basis, s, band)
     gram = u_s.T @ (q_s[:, None] * u_s)
     coeffs = _solve_gram(gram, u_s.T @ (q_s * y))
     x_hat = basis.modes[:, :band] @ coeffs
@@ -110,12 +126,11 @@ def error_covariance(basis: SpectralBasis, sampled, band: int) -> np.ndarray:
     its largest eigenvalue is the squared inverse of the smallest weighted
     design singular value.
     """
-    s, _ = _paired_samples(sampled, np.zeros(np.asarray(sampled).shape), basis.n)
+    s, _ = _sample_vertices(sampled, basis.n)
     band = int(band)
     if not 1 <= band <= s.size:
         raise ValueError(f"band must lie in [1, {s.size}]")
-    u_s = basis.modes[s][:, :band]
-    q_s = basis.inner.entries[s]
+    u_s, q_s = _design(basis, s, band)
     gram = u_s.T @ (q_s[:, None] * u_s)
     solved = _solve_gram(gram, basis.modes[:, :band].T)
     return basis.modes[:, :band] @ solved * basis.inner.entries[None, :]
@@ -136,8 +151,8 @@ def verify_error_bound(basis: SpectralBasis, sampled, band: int, x):
     report = consistent_reconstruct(basis, s, x[np.asarray(s, dtype=np.intp)], band=band)
     lhs = q_norm(x - report.x_hat, basis.inner)
 
-    s_sorted, _ = _paired_samples(s, np.zeros(s.shape), basis.n)
-    rows = np.sqrt(basis.inner.entries[s_sorted])[:, None] * basis.modes[s_sorted][:, :band]
+    u_s, q_s = _design(basis, _sample_vertices(s, basis.n)[0], band)
+    rows = np.sqrt(q_s)[:, None] * u_s
     sigma = float(np.linalg.svd(rows, compute_uv=False)[-1])
     _, high = bandlimit_split(basis, x, band)
     rhs = q_norm(high, basis.inner) / sigma if sigma > 0.0 else math.inf

@@ -14,6 +14,7 @@ from .errors import (
     ZeroSignalError,
 )
 from .graphs import InnerProduct, complement, q_norm, vertex_set
+from .reconstruction import _design
 from .spectral import SpectralBasis, compute_basis
 
 DEFAULT_PROXY_ORDER = 3
@@ -73,13 +74,12 @@ def proxy_operator(variation, inner: InnerProduct, keep, k: int = DEFAULT_PROXY_
     return scaled[:, keep] / np.sqrt(q[keep])[None, :]
 
 
-def proxy_gram(variation, inner: InnerProduct, k: int = DEFAULT_PROXY_ORDER) -> np.ndarray:
+def _proxy_gram(variation, inner: InnerProduct, k: int) -> np.ndarray:
     """Gram matrix of the full k-step operator.
 
     Cutoffs of nested sampling sets only need principal submatrices of this
     matrix, so computing it once amortizes repeated cutoff evaluations.
     """
-    k = _check_order(k)
     zk = _scaled_power(variation, inner, k)
     return zk.T @ (inner.entries[:, None] * zk)
 
@@ -106,33 +106,30 @@ def cutoff_frequency(
     inner: InnerProduct,
     sampled,
     k: int = DEFAULT_PROXY_ORDER,
-    gram: np.ndarray | None = None,
 ) -> CutoffEstimate:
     """Smallest proxy bandwidth among signals vanishing on ``sampled``.
 
     Computed through a full symmetric eigendecomposition of the Gram matrix
-    of the restricted k-step operator. Pass a precomputed
-    :func:`proxy_gram` result to amortize repeated evaluations over nested
-    sampling sets.
+    of the restricted k-step operator, the same route each growth step of
+    :func:`greedy_select` takes.
     """
     k = _check_order(k)
-    n = inner.n
-    sampled = vertex_set(sampled, n)
-    keep = complement(sampled, n)
+    keep = complement(sampled, inner.n)
     if keep.size == 0:
         raise EmptyComplementError("every vertex is sampled; no cutoff exists")
+    return _restricted_cutoff(_proxy_gram(variation, inner, k), inner, keep, k)
+
+
+def _restricted_cutoff(gram: np.ndarray, inner: InnerProduct, keep: np.ndarray, k: int) -> CutoffEstimate:
+    """Cutoff from the smallest eigenpair of the proxy Gram restricted to ``keep``."""
     q = inner.entries
-    if gram is None:
-        h = proxy_operator(variation, inner, keep, k)
-        g = h.T @ h
-    else:
-        root_inv = 1.0 / np.sqrt(q[keep])
-        g = gram[np.ix_(keep, keep)] * np.outer(root_inv, root_inv)
+    root_inv = 1.0 / np.sqrt(q[keep])
+    g = gram[np.ix_(keep, keep)] * np.outer(root_inv, root_inv)
     vals, vecs = np.linalg.eigh(g)
     smallest = max(float(vals[0]), 0.0)
     omega = smallest ** (1.0 / (2.0 * k))
 
-    phi = np.zeros(n)
+    phi = np.zeros(inner.n)
     phi[keep] = _canonical_sign(vecs[:, 0] / np.sqrt(q[keep]))
     return CutoffEstimate(omega, phi)
 
@@ -168,7 +165,7 @@ class SamplingResult:
         return np.sort(self.order[:m])
 
 
-def _best_singleton(variation, inner: InnerProduct, k: int) -> tuple[int, CutoffEstimate]:
+def _best_singleton(basis: SpectralBasis, k: int) -> tuple[int, CutoffEstimate]:
     """Exact cutoff of every singleton sampling set from one eigendecomposition.
 
     With ``B = Q^{-1/2} L Q^{-1/2} = V diag(lam) V^T`` and ``d = lam ** (2k)``,
@@ -183,12 +180,11 @@ def _best_singleton(variation, inner: InnerProduct, k: int) -> tuple[int, Cutoff
     Returns the vertex with the largest cutoff (lowest id on ties) and its
     estimate.
     """
-    basis = compute_basis(variation, inner)
-    root_q = np.sqrt(inner.entries)
+    root_q = np.sqrt(basis.inner.entries)
     v = basis.modes * root_q[:, None]
     d = basis.frequencies ** (2 * k)
     w = v * v
-    n = inner.n
+    n = basis.n
     eps = np.finfo(float).eps
     floor = max(eps * eps * float(d[-1]), np.finfo(float).tiny)
 
@@ -250,21 +246,27 @@ def greedy_select(
     InvalidTargetError
         If ``m`` is not in ``[1, n)``.
     """
+    return _greedy_from_basis(variation, compute_basis(variation, inner), m, k)
+
+
+def _greedy_from_basis(variation, basis: SpectralBasis, m: int, k: int) -> SamplingResult:
+    """:func:`greedy_select` for callers that already hold the basis of ``variation``."""
     k = _check_order(k)
+    inner = basis.inner
     n = inner.n
     m = int(m)
     if not 1 <= m < n:
         raise InvalidTargetError(f"sampling set size must be in [1, {n}), got {m}")
-    best_vertex, current = _best_singleton(variation, inner, k)
+    best_vertex, current = _best_singleton(basis, k)
     order = [best_vertex]
     cutoffs = [current.omega]
-    gram = proxy_gram(variation, inner, k) if m > 1 else None
+    gram = _proxy_gram(variation, inner, k) if m > 1 else None
     while len(order) < m:
         scores = np.abs(current.minimizer)
         scores[order] = -1.0
         nxt = int(np.argmax(scores))
         order.append(nxt)
-        current = cutoff_frequency(variation, inner, order, k, gram=gram)
+        current = _restricted_cutoff(gram, inner, complement(order, n), k)
         cutoffs.append(current.omega)
     return SamplingResult(np.asarray(order), np.asarray(cutoffs))
 
@@ -288,7 +290,8 @@ def e_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
         raise ValueError("band must contain at least one mode")
     if sampled.size < band:
         raise ValueError(f"need at least {band} samples, got {sampled.size}")
-    rows = np.sqrt(basis.inner.entries[sampled])[:, None] * basis.modes[sampled][:, :band]
+    u_s, q_s = _design(basis, sampled, band)
+    rows = np.sqrt(q_s)[:, None] * u_s
     sigma = float(np.linalg.svd(rows, compute_uv=False)[-1])
     if sigma < 1e-12:
         raise RankDeficientError(sigma)
@@ -307,9 +310,8 @@ def a_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
     if band < 1:
         raise ValueError("band must contain at least one mode")
     sampled = vertex_set(sampled, basis.n)
-    u = basis.modes[sampled][:, :band]
-    q_s = basis.inner.entries[sampled]
-    gram = u.T @ (q_s[:, None] * u)
+    u_s, q_s = _design(basis, sampled, band)
+    gram = u_s.T @ (q_s[:, None] * u_s)
     w = np.linalg.eigvalsh(gram)
     if w[0] <= 1e-13 * max(float(w[-1]), 1e-300):
         raise SingularGramError(float(np.sqrt(max(w[0], 0.0))))

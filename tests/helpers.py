@@ -8,10 +8,7 @@ import graphsampling as gs
 def geometric_instance(seed, n=12, side=10.0, kernel_sigma=1.0):
     """Point cloud, kernel graph, and Laplacian for one seeded instance."""
     cfg = gs.GeoConfig(n=n, side=side, kernel_sigma=kernel_sigma, seed=seed)
-    rng = np.random.default_rng(seed)
-    pc = gs.sample_points(cfg, rng)
-    g = gs.gaussian_kernel_graph(pc, kernel_sigma)
-    return pc, g, gs.combinatorial_laplacian(g)
+    return gs.build_instance(cfg, np.random.default_rng(seed))
 
 
 def all_inners(g, pc):

@@ -30,10 +30,7 @@ class TestBoundExperiment:
 
     def test_single_cell_matches_hand_assembled_chain(self):
         table = gs.run_bound_experiment(SMALL, 1, [0.5], variants=("degree",))
-        rng = gs.realization_rng(SMALL.seed, 0)
-        pc = gs.sample_points(SMALL, rng)
-        g = gs.gaussian_kernel_graph(pc, SMALL.kernel_sigma)
-        lap = gs.combinatorial_laplacian(g)
+        _, g, lap = gs.build_instance(SMALL, gs.realization_rng(SMALL.seed, 0))
         inner = gs.degree_matrix(g)
         selection = gs.greedy_select(lap, inner, 6, k=SMALL.proxy_k)
         basis = gs.compute_basis(lap, inner)
@@ -64,9 +61,7 @@ class TestMseExperiment:
         cfg = gs.GeoConfig(n=14, seed=9, kernel_sigma=2.0)
         table = gs.run_mse_experiment(cfg, 1, [0.5], [3], [0.2], variants=("identity",))
         rng = gs.realization_rng(cfg.seed, 0)
-        pc = gs.sample_points(cfg, rng)
-        g = gs.gaussian_kernel_graph(pc, cfg.kernel_sigma)
-        lap = gs.combinatorial_laplacian(g)
+        pc, g, lap = gs.build_instance(cfg, rng)
         metric = gs.voronoi_areas(pc)
         truth = gs.sinewave_signal(pc, 3)
         noisy = gs.add_noise(truth, 0.2, rng)
@@ -88,12 +83,9 @@ class TestMseExperiment:
     def test_metric_independent_of_selection_variant(self):
         # the error metric weights are the cell areas for every variant row
         cfg = gs.GeoConfig(n=12, seed=30, kernel_sigma=2.0)
-        rng = gs.realization_rng(cfg.seed, 0)
-        pc = gs.sample_points(cfg, rng)
+        pc, g, lap = gs.build_instance(cfg, gs.realization_rng(cfg.seed, 0))
         metric = gs.voronoi_areas(pc)
         table = gs.run_mse_experiment(cfg, 1, [0.5], [2], [0.0])
-        g = gs.gaussian_kernel_graph(pc, cfg.kernel_sigma)
-        lap = gs.combinatorial_laplacian(g)
         truth = gs.sinewave_signal(pc, 2)
         for row in table.rows:
             inner = gs.inner_for_variant(row.variant, g, pc)

@@ -49,6 +49,14 @@ class TestGen:
         code = main(["select", "--dir", str(tmp_path), "--q", "identity", "--m", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("n, seed", [(30, 3), (30, 11), (1, 1), (2, 1)])
+    def test_points_match_build_instance(self, tmp_path, n, seed):
+        # replays of a CLI chain rebuild the instance through the library
+        assert main(["gen", "--n", str(n), "--seed", str(seed), "--q", "identity", "--out", str(tmp_path)]) == 0
+        pc, _, _ = gs.build_instance(gs.GeoConfig(n=n, seed=seed), np.random.default_rng(seed))
+        points = read_json(tmp_path / "points.json")
+        assert points == {"side": pc.side, "positions": pc.positions.tolist()}
+
     def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP_SEED", "7")
         main(["gen", "--n", "24", "--kernel-sigma", "2.0", "--seed", "1", "--out", str(tmp_path / "env")])
@@ -247,3 +255,30 @@ class TestBench:
         ])
         assert code == 4
         assert (tmp_path / "bound.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, samples",
+    [
+        (["gen", "--n", "5", "--seed", "-1"], None),
+        (["select", "--q", "degree", "--m", "4", "--k", "0"], None),
+        (["bench", "bound", "--n", "12", "--realizations", "0", "--threads", "1"], None),
+        (["reconstruct", "--q", "degree", "--band", "2"], '{"values": [1.0, 2.0]}'),
+        (["reconstruct", "--q", "degree", "--band", "2"], "not json"),
+        (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1.5], "values": [1.0, 2.0]}'),
+    ],
+    ids=["negative-seed", "zero-order", "zero-realizations", "no-vertices", "not-json", "fractional-vertex"],
+)
+def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples):
+    gen(tmp_path, "--q", "degree")
+    capsys.readouterr()
+    if argv[0] in ("gen", "bench"):
+        argv = argv + ["--out", str(tmp_path / "out")]
+    else:
+        argv = argv + ["--dir", str(tmp_path)]
+    if samples is not None:
+        (tmp_path / "samples.json").write_text(samples, encoding="utf-8")
+        argv += ["--samples", str(tmp_path / "samples.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

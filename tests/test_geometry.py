@@ -138,11 +138,9 @@ class TestNoise:
 class TestConfigValidation:
     def test_bad_configs_rejected(self):
         with pytest.raises(ValueError):
-            gs.GeoConfig(n=2)
+            gs.GeoConfig(n=0)
         with pytest.raises(ValueError):
             gs.GeoConfig(kernel_sigma=0.0)
-        with pytest.raises(ValueError):
-            gs.GeoConfig(q_variant="other")
 
     def test_point_cloud_bounds(self):
         with pytest.raises(ValueError):
