@@ -54,6 +54,8 @@ def inner_for_variant(variant: str, g: Graph, pc) -> InnerProduct:
 
 def sample_sizes(n: int, fracs: Sequence[float]) -> list[int]:
     """Distinct sample counts for the given fractions, each in ``[1, n)``."""
+    if n < 2:
+        raise ValueError("need at least 2 vertices to sample a proper subset")
     sizes = sorted({min(max(int(round(f * n)), 1), n - 1) for f in fracs})
     return sizes
 

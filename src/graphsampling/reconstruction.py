@@ -147,11 +147,11 @@ def verify_error_bound(basis: SpectralBasis, sampled, band: int, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise DimensionMismatchError(f"signal must have shape ({basis.n},)")
-    s = np.asarray(sampled)
-    report = consistent_reconstruct(basis, s, x[np.asarray(s, dtype=np.intp)], band=band)
+    s, _ = _sample_vertices(sampled, basis.n)
+    report = consistent_reconstruct(basis, s, x[s], band=band)
     lhs = q_norm(x - report.x_hat, basis.inner)
 
-    u_s, q_s = _design(basis, _sample_vertices(s, basis.n)[0], band)
+    u_s, q_s = _design(basis, s, band)
     rows = np.sqrt(q_s)[:, None] * u_s
     sigma = float(np.linalg.svd(rows, compute_uv=False)[-1])
     _, high = bandlimit_split(basis, x, band)
@@ -264,6 +264,38 @@ def cheb_lowpass_series(params: PocsParams) -> ChebyshevSeries:
     return ChebyshevSeries(coeffs, params.lambda_max, err)
 
 
+def _cheb_kernel(variation, inner: InnerProduct, coeffs, lambda_max: float):
+    """Filter function for a Chebyshev series, built once for many signals.
+
+    The recurrence operator ``2 ((2 / lambda_max) Q^-1 L - I)`` is formed once,
+    with the sparsity of ``L``; each call then fills one term per row of a
+    preallocated buffer, one matrix-vector product and one subtraction per
+    term, and returns the weighted sum of the rows.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    weights = coeffs.copy()
+    weights[0] *= 0.5
+    op = (4.0 / lambda_max) * (np.asarray(variation, dtype=float) / inner.entries[:, None])
+    op[np.diag_indices(inner.n)] -= 2.0
+    terms = np.empty((coeffs.size, inner.n))
+    # row views and the bound product are made once: at n = 100, indexing the
+    # buffer anew for every term costs half as much as the product itself
+    rows = list(terms)
+    product = op.dot
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        rows[0][:] = x
+        if len(rows) > 1:
+            product(rows[0], out=rows[1])
+            rows[1] *= 0.5
+        for before, last, nxt in zip(rows, rows[1:], rows[2:]):
+            product(last, out=nxt)
+            nxt -= before
+        return weights @ terms
+
+    return apply
+
+
 def apply_cheb_filter(variation, inner: InnerProduct, coeffs, lambda_max: float, x) -> np.ndarray:
     """Apply a Chebyshev polynomial filter using only operator products.
 
@@ -275,22 +307,7 @@ def apply_cheb_filter(variation, inner: InnerProduct, coeffs, lambda_max: float,
     x = np.asarray(x, dtype=float)
     if x.shape != (inner.n,):
         raise DimensionMismatchError(f"signal must have shape ({inner.n},)")
-    coeffs = np.asarray(coeffs, dtype=float)
-    q = inner.entries
-    scale = 2.0 / lambda_max
-
-    def shifted(v):
-        return scale * ((variation @ v) / q) - v
-
-    y_prev = x
-    acc = 0.5 * coeffs[0] * y_prev
-    if coeffs.size > 1:
-        y_cur = shifted(y_prev)
-        acc = acc + coeffs[1] * y_cur
-        for c in coeffs[2:]:
-            y_prev, y_cur = y_cur, 2.0 * shifted(y_cur) - y_prev
-            acc = acc + c * y_cur
-    return acc
+    return _cheb_kernel(variation, inner, coeffs, lambda_max)(x)
 
 
 def pocs_reconstruct(
@@ -308,7 +325,9 @@ def pocs_reconstruct(
     Starts from ``x0`` (or a zero-filled signal) with the samples imposed,
     then repeats: filter with the polynomial low-pass, restore the observed
     samples. Stops when the weighted norm of the iterate change drops below
-    ``rel_tol`` times the iterate norm, or after ``max_iters`` sweeps.
+    ``rel_tol`` times the iterate norm, or after ``max_iters`` sweeps. The
+    report's ``iters`` counts sweeps; each costs ``cheb_order`` operator
+    products.
 
     Slow convergence is not an error: the report then carries
     ``iters == params.max_iters`` and the last relative change. The sample
@@ -316,7 +335,7 @@ def pocs_reconstruct(
     sampled vertices is always zero.
     """
     s, y = _paired_samples(sampled, values, inner.n)
-    series = cheb_lowpass_series(params)
+    lowpass = _cheb_kernel(variation, inner, cheb_lowpass_series(params).coeffs, params.lambda_max)
 
     if x0 is None:
         x = np.zeros(inner.n)
@@ -330,7 +349,7 @@ def pocs_reconstruct(
     rel_change = None
     iters = 0
     for iters in range(1, params.max_iters + 1):
-        nxt = apply_cheb_filter(variation, inner, series.coeffs, params.lambda_max, x)
+        nxt = lowpass(x)
         nxt[s] = y
         delta = q_norm(nxt - x, inner)
         ref = q_norm(x, inner)

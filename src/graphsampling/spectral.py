@@ -138,19 +138,49 @@ def is_bandlimited(basis: SpectralBasis, x, omega: float, tol: float = 1e-9) -> 
 def estimate_lambda_max(variation: np.ndarray, inner: InnerProduct, steps: int = 100) -> float:
     """Safe upper bound on the largest frequency, without a full decomposition.
 
-    Runs ``steps`` power iterations on the symmetrized operator from a fixed
-    starting vector and inflates the final Rayleigh quotient by 1% so the
-    result can be used as a polynomial-filter interval end.
+    Runs ``min(steps, n)`` Lanczos steps with full reorthogonalization on the
+    symmetrized operator from a fixed starting vector. The top Ritz value
+    plus its residual norm ``|beta_m s_m|``, capped by the Gershgorin
+    row-sum bound, is inflated by 1% so the result can be used as a
+    polynomial-filter interval end. A zero operator gives 0.0.
+
+    A breakdown means the Krylov space is invariant and may miss the top
+    mode (on the 3-vertex path the start vector is orthogonal to it), so
+    the iteration restarts from the coordinate vector the Lanczos vectors
+    cover least, orthogonalized against them.
     """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     n = inner.n
     root_inv = 1.0 / np.sqrt(inner.entries)
     sym = np.asarray(variation, dtype=float) * np.outer(root_inv, root_inv)
+    gershgorin = float(np.abs(sym).sum(axis=1).max())
+    if gershgorin == 0.0:
+        return 0.0
+    krylov = np.empty((min(steps, n), n))
+    alphas, betas = [], []
     v = np.arange(1.0, n + 1.0)
     v /= np.linalg.norm(v)
-    for _ in range(steps):
+    for j in range(krylov.shape[0]):
+        krylov[j] = v
+        done = krylov[: j + 1]
         w = sym @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-    return 1.01 * float(v @ (sym @ v))
+        alphas.append(float(v @ w))
+        for _ in range(2):  # full reorthogonalization, twice is enough
+            w -= done.T @ (done @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= n * np.finfo(float).eps * gershgorin:
+            beta = 0.0
+        betas.append(beta)
+        if j + 1 == krylov.shape[0]:
+            break
+        if beta == 0.0:
+            w = np.zeros(n)
+            w[np.argmin(np.einsum("ij,ij->j", done, done))] = 1.0
+            for _ in range(2):
+                w -= done.T @ (done @ w)
+        v = w / np.linalg.norm(w)
+    off = betas[:-1]
+    ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+    top = float(ritz[-1]) + abs(beta * float(vecs[-1, -1]))
+    return 1.01 * min(top, gershgorin)

@@ -124,6 +124,14 @@ class TestCsvFormat:
         assert line[1] == "" and line[2] == ""
 
 
+def test_drivers_reject_fewer_than_two_vertices():
+    cfg = gs.GeoConfig(n=1, seed=1)
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        gs.run_bound_experiment(cfg, 1, [0.5])
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        gs.run_mse_experiment(cfg, 1, [0.5], [2], [0.1], method="pocs")
+
+
 def test_sample_sizes_rounding():
     assert gs.sample_sizes(100, [0.2, 0.25]) == [20, 25]
     assert gs.sample_sizes(10, [0.05]) == [1]

@@ -263,11 +263,16 @@ class TestBench:
         (["gen", "--n", "5", "--seed", "-1"], None),
         (["select", "--q", "degree", "--m", "4", "--k", "0"], None),
         (["bench", "bound", "--n", "12", "--realizations", "0", "--threads", "1"], None),
+        (["bench", "bound", "--n", "1", "--realizations", "1", "--threads", "1"], None),
+        (["bench", "mse", "--n", "1", "--realizations", "1", "--threads", "1"], None),
         (["reconstruct", "--q", "degree", "--band", "2"], '{"values": [1.0, 2.0]}'),
         (["reconstruct", "--q", "degree", "--band", "2"], "not json"),
         (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1.5], "values": [1.0, 2.0]}'),
     ],
-    ids=["negative-seed", "zero-order", "zero-realizations", "no-vertices", "not-json", "fractional-vertex"],
+    ids=[
+        "negative-seed", "zero-order", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
+        "no-vertices", "not-json", "fractional-vertex",
+    ],
 )
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples):
     gen(tmp_path, "--q", "degree")

@@ -10,6 +10,41 @@ from graphsampling.errors import SingularGramError
 from helpers import all_inners, cluster_cloud, geometric_instance
 
 
+def recurrence_oracle(variation, inner, coeffs, lambda_max, x):
+    """Three-term Chebyshev recurrence with a running sum, one term at a time."""
+    q = inner.entries
+    scale = 2.0 / lambda_max
+
+    def shifted(v):
+        return scale * ((variation @ v) / q) - v
+
+    y_prev = x
+    acc = 0.5 * coeffs[0] * y_prev
+    if coeffs.size > 1:
+        y_cur = shifted(y_prev)
+        acc = acc + coeffs[1] * y_cur
+        for c in coeffs[2:]:
+            y_prev, y_cur = y_cur, 2.0 * shifted(y_cur) - y_prev
+            acc = acc + c * y_cur
+    return acc
+
+
+def pocs_oracle(variation, inner, sampled, y, params):
+    """Sweep count and final iterate of PoCS filtering with the recurrence oracle."""
+    coeffs = gs.cheb_lowpass_series(params).coeffs
+    x = np.zeros(inner.n)
+    x[sampled] = y
+    for iters in range(1, params.max_iters + 1):
+        nxt = recurrence_oracle(variation, inner, coeffs, params.lambda_max, x)
+        nxt[sampled] = y
+        delta = gs.q_norm(nxt - x, inner)
+        ref = gs.q_norm(x, inner)
+        x = nxt
+        if delta <= params.rel_tol * ref:
+            break
+    return iters, x
+
+
 def bandlimited_signal(basis, band, rng):
     coeffs = np.zeros(basis.n)
     coeffs[:band] = rng.standard_normal(band)
@@ -156,6 +191,12 @@ class TestErrorBound:
         assert gs.q_norm(high, inner) == pytest.approx(1.0, abs=1e-10)
         assert lhs <= rhs * (1.0 + 1e-8)
 
+    def test_out_of_range_vertex_is_value_error(self):
+        _, g, lap = geometric_instance(seed=0, n=8)
+        basis = gs.compute_basis(lap, gs.identity_inner_product(8))
+        with pytest.raises(ValueError, match="out of range"):
+            gs.verify_error_bound(basis, [0, 8], 1, np.ones(8))
+
 
 class TestChebyshevSeries:
     def test_midpoint_value_is_half(self):
@@ -239,6 +280,37 @@ class TestApplyChebFilter:
         left = filt(a * x + b * y)
         right = a * filt(x) + b * filt(y)
         assert np.abs(left - right).max() <= 1e-10 * max(1.0, np.abs(right).max())
+
+
+class TestChebKernelAgainstRecurrence:
+    @pytest.mark.parametrize("order", [0, 1, 2, 60])
+    def test_filter_matches_recurrence(self, order, rng):
+        pc, g, lap = geometric_instance(seed=19, n=100)
+        for inner in all_inners(g, pc).values():
+            lam_max = gs.estimate_lambda_max(lap, inner)
+            params = gs.PocsParams(omega=0.3 * lam_max, lambda_max=lam_max, cheb_order=order)
+            coeffs = gs.cheb_lowpass_series(params).coeffs
+            x = rng.standard_normal(100)
+            out = gs.apply_cheb_filter(lap, inner, coeffs, lam_max, x)
+            oracle = recurrence_oracle(lap, inner, coeffs, lam_max, x)
+            assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_pocs_sweeps_match_recurrence_loop(self):
+        pc, g, lap = geometric_instance(seed=0, n=100)
+        noisy = gs.sinewave_signal(pc, 3) + 0.1 * np.random.default_rng(0).standard_normal(100)
+        sweeps = []
+        for inner in all_inners(g, pc).values():
+            lam_max = gs.estimate_lambda_max(lap, inner)
+            selection = gs.greedy_select(lap, inner, 60, k=3)
+            for m in (20, 60):
+                chosen = selection.head(m)
+                params = gs.PocsParams(omega=min(float(selection.cutoffs[m - 1]), lam_max), lambda_max=lam_max)
+                report = gs.pocs_reconstruct(lap, inner, chosen, noisy[chosen], params)
+                iters, oracle = pocs_oracle(lap, inner, chosen, noisy[chosen], params)
+                assert report.iters == iters
+                assert gs.q_norm(report.x_hat - oracle, inner) <= 1e-9 * gs.q_norm(oracle, inner)
+                sweeps.append(iters)
+        assert max(sweeps) > 100
 
 
 class TestPocsReconstruct:

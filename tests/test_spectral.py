@@ -173,3 +173,27 @@ def test_lambda_max_estimate_is_upper_bound():
             estimate = gs.estimate_lambda_max(lap, inner)
             top = basis.frequencies[-1]
             assert top <= estimate <= 1.05 * top + 1e-12
+
+
+def test_lambda_max_bound_where_power_iteration_fell_short():
+    # 100 power steps estimated 1.3947 here against an exact 1.4071
+    cfg = gs.GeoConfig(n=100, side=10, kernel_sigma=1, seed=10000009, proxy_k=3)
+    pc, g, lap = gs.build_instance(cfg, gs.realization_rng(cfg.seed, 0))
+    inner = gs.degree_matrix(g)
+    top = gs.compute_basis(lap, inner).frequencies[-1]
+    assert top <= gs.estimate_lambda_max(lap, inner) <= 1.05 * top
+
+
+def test_lambda_max_bound_holds_on_n100_instances():
+    for seed in range(50):
+        pc, g, lap = geometric_instance(seed=seed, n=100)
+        for inner in all_inners(g, pc).values():
+            top = gs.compute_basis(lap, inner).frequencies[-1]
+            assert top <= gs.estimate_lambda_max(lap, inner) <= 1.05 * top
+
+
+def test_lambda_max_after_breakdown_and_on_zero_operator():
+    # the start vector (1, 2, 3) is orthogonal to the path's top mode (1, -2, 1)
+    inner = gs.identity_inner_product(3)
+    assert gs.estimate_lambda_max(PATH3_LAP, inner) == pytest.approx(1.01 * 3.0, rel=1e-12)
+    assert gs.estimate_lambda_max(np.zeros((3, 3)), inner) == 0.0
