@@ -403,9 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--band", "--r", dest="band", type=int, default=None, help="modes to fit (closed form)")
     rec.add_argument("--omega", type=float, default=None, help="low-pass cutoff (default: final selection cutoff)")
     rec.add_argument("--alpha", type=float, default=None, help="low-pass sharpness")
-    rec.add_argument("--cheb-order", type=int, default=60)
-    rec.add_argument("--max-iters", type=int, default=500)
-    rec.add_argument("--rel-tol", type=float, default=1e-8)
+    rec.add_argument("--cheb-order", type=int, default=60, help="PoCS filter order: operator products per application")
+    rec.add_argument("--max-iters", type=int, default=500, help="PoCS bound on filter applications (iters)")
+    rec.add_argument(
+        "--rel-tol", type=float, default=1e-8, help="PoCS bound on the relative change one more sweep would make"
+    )
     rec.add_argument("--truth", default=None, help="optional JSON file with the true signal")
     rec.add_argument("--out", default=None, help="output file (default reconstruction.json)")
     rec.set_defaults(func=cmd_reconstruct)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,10 +17,12 @@ from .spectral import SpectralBasis, bandlimit_split
 class ReconstructionReport:
     """Outcome of a reconstruction.
 
-    ``iters`` is 0 for the closed form. ``residual_s`` is the largest
-    absolute deviation between the reconstruction and the given samples.
-    ``q_error`` is filled only when a ground-truth signal was supplied.
-    ``history`` holds the iterates when recording was requested.
+    ``iters`` is 0 for the closed form and, for PoCS, the number of
+    low-pass filter applications. ``residual_s`` is the largest absolute
+    deviation between the reconstruction and the given samples. ``q_error``
+    is filled only when a ground-truth signal was supplied. ``history`` holds
+    the start iterate and every conjugate-gradient iterate of PoCS when
+    recording was requested.
     """
 
     x_hat: np.ndarray
@@ -166,6 +169,10 @@ class PocsParams:
     ``alpha`` controls the sharpness of the logistic response
     ``1 / (1 + exp(alpha * (freq - omega)))``; when omitted it is set so the
     response falls from 0.92 to 0.08 over 10% of ``[0, lambda_max]``.
+    ``max_iters`` bounds the filter applications of one reconstruction, each
+    ``cheb_order`` operator products; ``rel_tol`` bounds the weighted norm of
+    the change one more filter-and-resample step would make, relative to the
+    iterate's norm.
     """
 
     omega: float
@@ -238,20 +245,37 @@ def evaluate_cheb_series(coeffs, lambda_max: float, freqs) -> np.ndarray:
     return t * b1 - b2 + 0.5 * coeffs[0]
 
 
-def cheb_lowpass_series(params: PocsParams) -> ChebyshevSeries:
-    """Chebyshev coefficients of the logistic low-pass on ``[0, lambda_max]``.
+@functools.lru_cache(maxsize=8)
+def _cheb_table(order: int, npts: int):
+    """Node angles and the ``(order + 1) x npts`` cosine table, stored read-only."""
+    theta = np.pi * (np.arange(npts) + 0.5) / npts
+    table = np.cos(np.outer(np.arange(order + 1), theta))
+    theta.flags.writeable = False
+    table.flags.writeable = False
+    return theta, table
+
+
+def _cheb_coeffs(params: PocsParams) -> np.ndarray:
+    """Chebyshev coefficients of the logistic low-pass, without the grid check.
 
     Uses the cosine-transform construction on Chebyshev nodes; at least 1000
     quadrature nodes are used regardless of the series order.
     """
-    order = params.cheb_order
-    npts = max(order + 1, 1000)
-    theta = np.pi * (np.arange(npts) + 0.5) / npts
+    npts = max(params.cheb_order + 1, 1000)
+    theta, table = _cheb_table(params.cheb_order, npts)
     nodes = 0.5 * params.lambda_max * (np.cos(theta) + 1.0)
     vals = lowpass_response(nodes, params.omega, params.alpha)
-    j = np.arange(order + 1)
-    coeffs = (2.0 / npts) * (np.cos(np.outer(j, theta)) @ vals)
+    return (2.0 / npts) * (table @ vals)
 
+
+def cheb_lowpass_series(params: PocsParams) -> ChebyshevSeries:
+    """Chebyshev coefficients of the logistic low-pass on ``[0, lambda_max]``.
+
+    Uses the cosine-transform construction on at least 1000 Chebyshev nodes;
+    the series also carries its largest deviation from the response on a
+    1000-point grid.
+    """
+    coeffs = _cheb_coeffs(params)
     grid = np.linspace(0.0, params.lambda_max, 1000)
     err = float(
         np.max(
@@ -320,22 +344,30 @@ def pocs_reconstruct(
     truth=None,
     record_history: bool = False,
 ) -> ReconstructionReport:
-    """Reconstruct by alternating low-pass filtering and sample re-imposition.
+    """Reconstruct by solving the fixed point of low-pass filtering and sample re-imposition.
 
-    Starts from ``x0`` (or a zero-filled signal) with the samples imposed,
-    then repeats: filter with the polynomial low-pass, restore the observed
-    samples. Stops when the weighted norm of the iterate change drops below
-    ``rel_tol`` times the iterate norm, or after ``max_iters`` sweeps. The
-    report's ``iters`` counts sweeps; each costs ``cheb_order`` operator
-    products.
+    PoCS (Narang, Gadde & Ortega, ICASSP 2013) repeats: filter with the
+    polynomial low-pass ``H``, restore the observed samples ``y`` on the
+    sampled set ``S``. Its limit is the fixed point ``(I - H_UU) x_U = H_US y``
+    on the unsampled set ``U``. This solves that system by conjugate gradients
+    (Hestenes & Stiefel, 1952) in the ``Q_U`` inner product, in which
+    ``I - H_UU`` is self-adjoint, starting from ``x0`` (or zero) with the
+    samples imposed. The CG residual ``(H x)_U - x_U`` is the change one more
+    PoCS sweep would make; the solve stops once its weighted norm is at most
+    ``rel_tol`` times the weighted norm of the iterate, or after
+    ``max_iters`` filter applications. The report's ``iters`` counts filter
+    applications, each ``cheb_order`` operator products, and
+    ``last_rel_change`` is the final relative residual.
 
     Slow convergence is not an error: the report then carries
-    ``iters == params.max_iters`` and the last relative change. The sample
-    re-imposition runs last in each sweep, so the reported residual on the
-    sampled vertices is always zero.
+    ``last_rel_change > rel_tol``. So does a curvature break: a search
+    direction ``p`` with ``<p, (I - H_UU) p>_Q <= 0`` means ``H_UU`` has an
+    eigenvalue of at least 1, where PoCS sweeps cannot converge either, and
+    the current iterate is returned. The samples are never changed, so the
+    reported residual on the sampled vertices is always zero.
     """
     s, y = _paired_samples(sampled, values, inner.n)
-    lowpass = _cheb_kernel(variation, inner, cheb_lowpass_series(params).coeffs, params.lambda_max)
+    lowpass = _cheb_kernel(variation, inner, _cheb_coeffs(params), params.lambda_max)
 
     if x0 is None:
         x = np.zeros(inner.n)
@@ -344,21 +376,36 @@ def pocs_reconstruct(
         if x.shape != (inner.n,):
             raise DimensionMismatchError(f"x0 must have shape ({inner.n},)")
     x[s] = y
+    free = np.ones(inner.n, dtype=bool)
+    free[s] = False
+    q_u = inner.entries[free]
 
     history = [x.copy()] if record_history else None
-    rel_change = None
-    iters = 0
-    for iters in range(1, params.max_iters + 1):
-        nxt = lowpass(x)
-        nxt[s] = y
-        delta = q_norm(nxt - x, inner)
+    r = lowpass(x)[free] - x[free]
+    iters = 1
+    rr = float(np.dot(q_u * r, r))
+    p = r.copy()
+    padded = np.zeros(inner.n)
+    while True:
         ref = q_norm(x, inner)
-        rel_change = delta / ref if ref > 0.0 else (0.0 if delta == 0.0 else math.inf)
-        x = nxt
+        delta = math.sqrt(rr)
+        if delta <= params.rel_tol * ref or iters >= params.max_iters:
+            break
+        padded[free] = p
+        ap = p - lowpass(padded)[free]
+        iters += 1
+        curvature = float(np.dot(q_u * p, ap))
+        if not curvature > 0.0:  # H_UU has an eigenvalue >= 1: sweeps would not converge either
+            break
+        step = rr / curvature
+        x[free] += step * p
+        r -= step * ap
+        rr_next = float(np.dot(q_u * r, r))
+        p = r + (rr_next / rr) * p
+        rr = rr_next
         if history is not None:
             history.append(x.copy())
-        if delta <= params.rel_tol * ref:
-            break
+    rel_change = delta / ref if ref > 0.0 else (0.0 if delta == 0.0 else math.inf)
 
     residual = float(np.max(np.abs(x[s] - y)))
     q_err = q_norm(x - np.asarray(truth, dtype=float), inner) if truth is not None else None
