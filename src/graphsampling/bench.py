@@ -152,7 +152,7 @@ def run_bound_experiment(
         cells = np.empty((len(variants), len(sizes)))
         for vi, variant in enumerate(variants):
             basis = compute_basis(lap, inner_for_variant(variant, g, pc))
-            selection = _greedy_from_basis(lap, basis, m_max, cfg.proxy_k)
+            selection = _greedy_from_basis(basis, m_max, cfg.proxy_k)
             for si, size in enumerate(sizes):
                 try:
                     value = e_opt_metric(basis, selection.head(size), size)
@@ -229,7 +229,7 @@ def run_mse_experiment(
         for vi, variant in enumerate(variants):
             inner = inners[variant]
             basis = compute_basis(lap, inner)
-            selection = _greedy_from_basis(lap, basis, m_max, cfg.proxy_k)
+            selection = _greedy_from_basis(basis, m_max, cfg.proxy_k)
             lam_max = estimate_lambda_max(lap, inner) if method == "pocs" else None
             for si, size in enumerate(sizes):
                 chosen = selection.head(size)

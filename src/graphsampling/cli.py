@@ -139,9 +139,6 @@ def cmd_gen(args) -> int:
 
 def cmd_select(args) -> int:
     directory = Path(args.dir)
-    if args.m < 1:
-        print("error: --m must be a positive integer", file=sys.stderr)
-        return _EXIT_USAGE
     g = graph_from_json(_read_json(directory / "graph.json"))
     inner = _load_inner(directory, args.q)
     result = greedy_select(combinatorial_laplacian(g), inner, args.m, k=args.k)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyVertexSetError, SingularGramError
-from .graphs import InnerProduct, q_norm
+from .graphs import InnerProduct, q_norm, vertex_set
 from .spectral import SpectralBasis, bandlimit_split
 
 
@@ -40,16 +40,7 @@ def _sample_vertices(sampled, n: int):
         raise DimensionMismatchError("sampled vertices and values must be equally long vectors")
     if s.size == 0:
         raise EmptyVertexSetError("at least one sample is required")
-    if not np.issubdtype(s.dtype, np.integer):
-        raise ValueError("vertex ids must be integers")
-    s = s.astype(np.intp)
-    if s.min() < 0 or s.max() >= n:
-        raise ValueError(f"vertex id out of range [0, {n})")
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    if np.any(s[1:] == s[:-1]):
-        raise ValueError("duplicate sampled vertices")
-    return s, order
+    return vertex_set(s, n), np.argsort(s, kind="stable")
 
 
 def _paired_samples(sampled, values, n: int):

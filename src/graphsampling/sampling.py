@@ -20,12 +20,6 @@ from .spectral import SpectralBasis, compute_basis
 DEFAULT_PROXY_ORDER = 3
 
 
-def _scaled_power(variation: np.ndarray, inner: InnerProduct, k: int) -> np.ndarray:
-    """Dense k-th power of the inner-product-scaled variation operator."""
-    z = np.asarray(variation, dtype=float) / inner.entries[:, None]
-    return np.linalg.matrix_power(z, k)
-
-
 def _check_order(k: int) -> int:
     k = int(k)
     if k < 1:
@@ -70,18 +64,9 @@ def proxy_operator(variation, inner: InnerProduct, keep, k: int = DEFAULT_PROXY_
     if keep.size == 0:
         raise EmptyComplementError("the kept vertex set is empty")
     q = inner.entries
-    scaled = np.sqrt(q)[:, None] * _scaled_power(variation, inner, k)
+    z = np.asarray(variation, dtype=float) / q[:, None]
+    scaled = np.sqrt(q)[:, None] * np.linalg.matrix_power(z, k)
     return scaled[:, keep] / np.sqrt(q[keep])[None, :]
-
-
-def _proxy_gram(variation, inner: InnerProduct, k: int) -> np.ndarray:
-    """Gram matrix of the full k-step operator.
-
-    Cutoffs of nested sampling sets only need principal submatrices of this
-    matrix, so computing it once amortizes repeated cutoff evaluations.
-    """
-    zk = _scaled_power(variation, inner, k)
-    return zk.T @ (inner.entries[:, None] * zk)
 
 
 @dataclass(frozen=True)
@@ -109,28 +94,38 @@ def cutoff_frequency(
 ) -> CutoffEstimate:
     """Smallest proxy bandwidth among signals vanishing on ``sampled``.
 
-    Computed through a full symmetric eigendecomposition of the Gram matrix
-    of the restricted k-step operator, the same route each growth step of
-    :func:`greedy_select` takes.
+    Computed from the eigendecomposition of the symmetrized operator ``B``
+    and the smallest eigenpair of ``B^{2k}`` restricted to the unsampled
+    vertices, the same route each growth step of :func:`greedy_select` takes.
     """
     k = _check_order(k)
     keep = complement(sampled, inner.n)
     if keep.size == 0:
         raise EmptyComplementError("every vertex is sampled; no cutoff exists")
-    return _restricted_cutoff(_proxy_gram(variation, inner, k), inner, keep, k)
+    v, d = _eigenpairs(compute_basis(variation, inner), k)
+    return _restricted_cutoff((v * d) @ v.T, inner, keep, k)
+
+
+def _eigenpairs(basis: SpectralBasis, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(V, d)`` with ``B = Q^{-1/2} L Q^{-1/2} = V diag(lam) V^T`` and ``d = lam ** (2k)``.
+
+    ``V = Q^{1/2} U`` is orthogonal, so ``(V * d) @ V.T`` is ``B^{2k}``: the
+    Gram matrix of the k-step proxy operator in coordinates where the inner
+    product is Euclidean.
+    """
+    return basis.modes * np.sqrt(basis.inner.entries)[:, None], basis.frequencies ** (2 * k)
 
 
 def _restricted_cutoff(gram: np.ndarray, inner: InnerProduct, keep: np.ndarray, k: int) -> CutoffEstimate:
-    """Cutoff from the smallest eigenpair of the proxy Gram restricted to ``keep``."""
-    q = inner.entries
-    root_inv = 1.0 / np.sqrt(q[keep])
-    g = gram[np.ix_(keep, keep)] * np.outer(root_inv, root_inv)
-    vals, vecs = np.linalg.eigh(g)
-    smallest = max(float(vals[0]), 0.0)
-    omega = smallest ** (1.0 / (2.0 * k))
+    """Cutoff from the smallest eigenpair of ``gram = B^{2k}`` restricted to ``keep``.
 
+    The eigenvector lives in Euclidean coordinates; dividing by
+    ``sqrt(q[keep])`` maps it back to a signal on the graph.
+    """
+    vals, vecs = np.linalg.eigh(gram[np.ix_(keep, keep)])
+    omega = max(float(vals[0]), 0.0) ** (1.0 / (2.0 * k))
     phi = np.zeros(inner.n)
-    phi[keep] = _canonical_sign(vecs[:, 0] / np.sqrt(q[keep]))
+    phi[keep] = _canonical_sign(vecs[:, 0] / np.sqrt(inner.entries[keep]))
     return CutoffEstimate(omega, phi)
 
 
@@ -165,12 +160,12 @@ class SamplingResult:
         return np.sort(self.order[:m])
 
 
-def _best_singleton(basis: SpectralBasis, k: int) -> tuple[int, CutoffEstimate]:
+def _best_singleton(v: np.ndarray, d: np.ndarray, inner: InnerProduct, k: int) -> tuple[int, CutoffEstimate]:
     """Exact cutoff of every singleton sampling set from one eigendecomposition.
 
-    With ``B = Q^{-1/2} L Q^{-1/2} = V diag(lam) V^T`` and ``d = lam ** (2k)``,
-    the cutoff of ``{i}`` is the (2k)-th root of the smallest eigenvalue of
-    ``V diag(d) V^T`` with row and column ``i`` deleted. By interlacing that
+    With ``(V, d)`` from :func:`_eigenpairs`, the cutoff of ``{i}`` is the
+    (2k)-th root of the smallest eigenvalue of ``B^{2k} = V diag(d) V^T``
+    with row and column ``i`` deleted. By interlacing that
     eigenvalue lies in ``[d_0, d_1]``, where it is the root of the secular
     equation ``sum_j V_ij^2 / (d_j - mu) = 0`` (Golub, "Some modified matrix
     eigenvalue problems", SIAM Review 1973). The root is bracketed by
@@ -180,11 +175,8 @@ def _best_singleton(basis: SpectralBasis, k: int) -> tuple[int, CutoffEstimate]:
     Returns the vertex with the largest cutoff (lowest id on ties) and its
     estimate.
     """
-    root_q = np.sqrt(basis.inner.entries)
-    v = basis.modes * root_q[:, None]
-    d = basis.frequencies ** (2 * k)
     w = v * v
-    n = basis.n
+    n = inner.n
     eps = np.finfo(float).eps
     floor = max(eps * eps * float(d[-1]), np.finfo(float).tiny)
 
@@ -219,7 +211,7 @@ def _best_singleton(basis: SpectralBasis, k: int) -> tuple[int, CutoffEstimate]:
         z = v[:, hit] @ coeffs
     else:
         z = v @ (row / gap)
-    phi = z / root_q
+    phi = z / np.sqrt(inner.entries)
     phi[best] = 0.0
     omega = max(float(mu[best]), 0.0) ** (1.0 / (2.0 * k))
     return best, CutoffEstimate(omega, _canonical_sign(phi))
@@ -233,12 +225,14 @@ def greedy_select(
 ) -> SamplingResult:
     """Grow a sampling set of size ``m`` by maximizing the cutoff estimate.
 
-    The first vertex is chosen by scoring every singleton set exactly: the
-    minimizer for the empty set is the constant kernel mode, whose entries
-    carry no per-vertex information. All ``n`` singleton cutoffs come from
-    one eigendecomposition and a vectorized secular-equation solve, so this
-    phase costs O(n^3). Each subsequent vertex is the one with the largest
-    magnitude in the current minimizer, ties going to the lowest vertex id.
+    Both phases read one eigendecomposition of the symmetrized operator
+    ``B``. The first vertex is chosen by scoring every singleton set
+    exactly: the minimizer for the empty set is the constant kernel mode,
+    whose entries carry no per-vertex information. All ``n`` singleton
+    cutoffs come from a vectorized secular-equation solve, so this phase
+    costs O(n^3). Each subsequent vertex is the one with the largest
+    magnitude in the current minimizer, ties going to the lowest vertex id;
+    its cutoff comes from ``B^{2k}`` restricted to the unsampled vertices.
     Deterministic for fixed inputs.
 
     Raises
@@ -246,21 +240,22 @@ def greedy_select(
     InvalidTargetError
         If ``m`` is not in ``[1, n)``.
     """
-    return _greedy_from_basis(variation, compute_basis(variation, inner), m, k)
+    return _greedy_from_basis(compute_basis(variation, inner), m, k)
 
 
-def _greedy_from_basis(variation, basis: SpectralBasis, m: int, k: int) -> SamplingResult:
-    """:func:`greedy_select` for callers that already hold the basis of ``variation``."""
+def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
+    """:func:`greedy_select` for callers that already hold the basis of the variation operator."""
     k = _check_order(k)
     inner = basis.inner
     n = inner.n
     m = int(m)
     if not 1 <= m < n:
         raise InvalidTargetError(f"sampling set size must be in [1, {n}), got {m}")
-    best_vertex, current = _best_singleton(basis, k)
+    v, d = _eigenpairs(basis, k)
+    best_vertex, current = _best_singleton(v, d, inner, k)
     order = [best_vertex]
     cutoffs = [current.omega]
-    gram = _proxy_gram(variation, inner, k) if m > 1 else None
+    gram = (v * d) @ v.T if m > 1 else None
     while len(order) < m:
         scores = np.abs(current.minimizer)
         scores[order] = -1.0

@@ -262,6 +262,7 @@ class TestBench:
     [
         (["gen", "--n", "5", "--seed", "-1"], None),
         (["select", "--q", "degree", "--m", "4", "--k", "0"], None),
+        (["select", "--q", "degree", "--m", "0"], None),
         (["bench", "bound", "--n", "12", "--realizations", "0", "--threads", "1"], None),
         (["bench", "bound", "--n", "1", "--realizations", "1", "--threads", "1"], None),
         (["bench", "mse", "--n", "1", "--realizations", "1", "--threads", "1"], None),
@@ -270,7 +271,7 @@ class TestBench:
         (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1.5], "values": [1.0, 2.0]}'),
     ],
     ids=[
-        "negative-seed", "zero-order", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
+        "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
         "no-vertices", "not-json", "fractional-vertex",
     ],
 )

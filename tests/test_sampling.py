@@ -23,6 +23,46 @@ from helpers import (
 
 PATH3_LAP = np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
+# first 60 greedy picks at n = 100, k = 3, per (seed, inner product)
+GROWTH_PICKS = {
+    (3, "identity"): [
+        70, 10, 78, 83, 60, 93, 15, 14, 34, 7, 44, 55, 39, 52, 54,
+        47, 92, 38, 98, 69, 23, 36, 57, 73, 81, 42, 82, 72, 50, 1,
+        80, 46, 71, 37, 84, 0, 68, 28, 64, 24, 11, 61, 2, 32, 96,
+        63, 66, 30, 16, 33, 99, 40, 5, 12, 74, 76, 97, 4, 31, 21,
+    ],
+    (3, "degree"): [
+        12, 78, 83, 39, 15, 35, 50, 87, 52, 56, 84, 44, 64, 36, 93,
+        99, 90, 55, 59, 10, 53, 73, 60, 28, 70, 33, 7, 75, 76, 9,
+        71, 31, 66, 22, 17, 96, 67, 27, 79, 3, 14, 95, 8, 21, 51,
+        29, 34, 89, 69, 19, 5, 86, 18, 94, 57, 45, 0, 91, 16, 97,
+    ],
+    (3, "voronoi"): [
+        53, 10, 83, 23, 60, 38, 7, 15, 39, 82, 14, 28, 76, 55, 44,
+        71, 36, 91, 78, 47, 80, 11, 66, 5, 42, 51, 73, 99, 72, 97,
+        63, 94, 69, 21, 52, 4, 57, 0, 81, 34, 24, 84, 56, 45, 31,
+        50, 37, 59, 96, 33, 86, 75, 29, 70, 43, 61, 67, 1, 62, 2,
+    ],
+    (5, "identity"): [
+        66, 4, 14, 38, 37, 89, 32, 83, 7, 3, 65, 80, 58, 86, 36,
+        47, 64, 24, 88, 29, 23, 44, 6, 25, 46, 71, 22, 19, 2, 11,
+        78, 13, 56, 50, 77, 15, 31, 34, 99, 0, 82, 49, 51, 90, 87,
+        62, 74, 9, 55, 26, 30, 93, 40, 8, 84, 69, 21, 61, 45, 53,
+    ],
+    (5, "degree"): [
+        69, 14, 7, 4, 56, 3, 20, 82, 80, 10, 6, 46, 45, 19, 64,
+        81, 66, 13, 34, 95, 52, 47, 62, 72, 2, 92, 71, 17, 58, 53,
+        1, 61, 57, 40, 59, 8, 48, 33, 35, 18, 84, 93, 75, 29, 68,
+        94, 96, 42, 91, 25, 36, 23, 89, 16, 21, 77, 85, 98, 73, 51,
+    ],
+    (5, "voronoi"): [
+        80, 38, 11, 24, 89, 7, 65, 29, 42, 58, 49, 66, 69, 32, 71,
+        22, 25, 23, 31, 86, 46, 2, 9, 81, 51, 0, 19, 33, 74, 99,
+        53, 62, 47, 40, 4, 52, 82, 14, 93, 16, 61, 77, 73, 50, 78,
+        97, 41, 68, 21, 83, 85, 13, 98, 87, 8, 94, 57, 72, 3, 15,
+    ],
+}
+
 
 def star_graph(n=5):
     w = np.zeros((n, n))
@@ -217,6 +257,21 @@ class TestGreedySelect:
             [0.497747, 0.689445, 1.311205, 1.856501, 2.186438],
             atol=1e-5,
         )
+
+    @pytest.mark.parametrize("seed, variant", list(GROWTH_PICKS))
+    def test_growth_picks_at_n100(self, seed, variant):
+        pc, g, lap = geometric_instance(seed=seed, n=100)
+        res = gs.greedy_select(lap, all_inners(g, pc)[variant], 60, k=3)
+        assert res.order.tolist() == GROWTH_PICKS[seed, variant]
+
+    @pytest.mark.parametrize("seed, variant", list(GROWTH_PICKS))
+    def test_growth_cutoffs_match_explicit_svd_at_n100(self, seed, variant):
+        pc, g, lap = geometric_instance(seed=seed, n=100)
+        inner = all_inners(g, pc)[variant]
+        res = gs.greedy_select(lap, inner, 60, k=3)
+        for size in (10, 20, 40, 60):
+            oracle = explicit_cutoff(lap, inner, res.order[:size], 3)
+            assert abs(res.cutoffs[size - 1] - oracle) <= 1e-7 * oracle
 
     def test_invalid_target_rejected(self):
         inner = gs.identity_inner_product(3)

@@ -193,7 +193,24 @@ def test_lambda_max_bound_holds_on_n100_instances():
 
 
 def test_lambda_max_after_breakdown_and_on_zero_operator():
-    # the start vector (1, 2, 3) is orthogonal to the path's top mode (1, -2, 1)
+    # a Krylov start vector (1, 2, 3) would be orthogonal to the path's top mode (1, -2, 1)
     inner = gs.identity_inner_product(3)
     assert gs.estimate_lambda_max(PATH3_LAP, inner) == pytest.approx(1.01 * 3.0, rel=1e-12)
     assert gs.estimate_lambda_max(np.zeros((3, 3)), inner) == 0.0
+
+
+def test_lambda_max_is_the_inflated_top_frequency_at_n400():
+    for seed in range(3):
+        pc, g, lap = geometric_instance(seed=seed, n=400)
+        for inner in all_inners(g, pc).values():
+            expected = 1.01 * gs.compute_basis(lap, inner).frequencies[-1]
+            assert abs(gs.estimate_lambda_max(lap, inner) - expected) <= 1e-12 * expected
+
+
+def test_lambda_max_rejects_what_compute_basis_rejects():
+    bad = PATH3_LAP.copy()
+    bad[0, 1] = bad[1, 0] = np.nan
+    with pytest.raises(NotFiniteError):
+        gs.estimate_lambda_max(bad, gs.identity_inner_product(3))
+    with pytest.raises(DimensionMismatchError):
+        gs.estimate_lambda_max(PATH3_LAP, gs.identity_inner_product(4))
