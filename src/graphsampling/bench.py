@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,6 +126,56 @@ def _mean_rows(stack: np.ndarray):
     return mean, stderr, failed
 
 
+def _sweep(
+    cfg: GeoConfig,
+    realizations: int,
+    sample_fracs: Sequence[float],
+    variants: Sequence[str],
+    workers: int,
+    progress: Callable[[int], None] | None,
+    block: Callable[..., None],
+    cycles: Sequence[int | None] = (None,),
+    sigmas: Sequence[float | None] = (None,),
+    draw: Callable[..., object] | None = None,
+) -> ResultTable:
+    """The realization sweep both drivers share.
+
+    Per realization: one instance from its own stream, each variant's inner
+    product, ``draw(rng, pc, inners)`` for the driver's own data, then per
+    variant one basis and one greedy selection up to the largest size, whose
+    cells ``block(out, data, lap, basis, selection, sizes)`` fills into
+    ``out[cycle, sigma, size]``. The bound table is the ``(None,) x (None,)`` grid.
+    """
+    if realizations < 1:
+        raise ValueError("need at least one realization")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    variants = tuple(variants)
+    if len(set(variants)) != len(variants):
+        raise ValueError(f"variants must be distinct, got {list(variants)}")
+    sizes = sample_sizes(cfg.n, sample_fracs)
+
+    def one(idx: int) -> np.ndarray:
+        rng = realization_rng(cfg.seed, idx)
+        pc, g, lap = build_instance(cfg, rng)
+        inners = {variant: inner_for_variant(variant, g, pc) for variant in variants}
+        data = draw(rng, pc, inners) if draw is not None else None
+        cells = np.empty((len(variants), len(cycles), len(sigmas), len(sizes)))
+        for vi, variant in enumerate(variants):
+            basis = compute_basis(lap, inners[variant])
+            selection = _greedy_from_basis(basis, sizes[-1], cfg.proxy_k)
+            block(cells[vi], data, lap, basis, selection, sizes)
+        if progress is not None:
+            progress(idx)
+        return cells
+
+    stack = np.stack(_run_realizations(realizations, one, workers))
+    mean, stderr, failed = _mean_rows(stack)
+    # C order of the cell stack is the row order: variant, signal, noise level, size
+    cells = zip(product(variants, cycles, sigmas, sizes), mean.flat, stderr.flat, failed.flat)
+    return ResultTable(tuple(TableRow(*key, float(m), float(e), int(f)) for key, m, e, f in cells))
+
+
 def run_bound_experiment(
     cfg: GeoConfig,
     realizations: int,
@@ -141,36 +192,15 @@ def run_bound_experiment(
     Rank-deficient cells are recorded as failures, not raised. Deterministic
     for a fixed ``cfg.seed``, including under ``workers > 1``.
     """
-    if realizations < 1:
-        raise ValueError("need at least one realization")
-    sizes = sample_sizes(cfg.n, sample_fracs)
-    m_max = max(sizes)
-    variants = tuple(variants)
 
-    def one(idx: int) -> np.ndarray:
-        pc, g, lap = build_instance(cfg, realization_rng(cfg.seed, idx))
-        cells = np.empty((len(variants), len(sizes)))
-        for vi, variant in enumerate(variants):
-            basis = compute_basis(lap, inner_for_variant(variant, g, pc))
-            selection = _greedy_from_basis(basis, m_max, cfg.proxy_k)
-            for si, size in enumerate(sizes):
-                try:
-                    value = e_opt_metric(basis, selection.head(size), size)
-                except RankDeficientError:
-                    value = np.nan
-                cells[vi, si] = value
-        if progress is not None:
-            progress(idx)
-        return cells
+    def block(out, data, lap, basis, selection, sizes):
+        for si, size in enumerate(sizes):
+            try:
+                out[0, 0, si] = e_opt_metric(basis, selection.head(size), size)
+            except RankDeficientError:
+                out[0, 0, si] = np.nan
 
-    stack = np.stack(_run_realizations(realizations, one, workers))
-    mean, stderr, failed = _mean_rows(stack)
-    rows = [
-        TableRow(variant, None, None, size, float(mean[vi, si]), float(stderr[vi, si]), int(failed[vi, si]))
-        for vi, variant in enumerate(variants)
-        for si, size in enumerate(sizes)
-    ]
-    return ResultTable(tuple(rows))
+    return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block)
 
 
 def _band_from_cutoff(frequencies: np.ndarray, omega: float, size: int) -> int:
@@ -200,78 +230,42 @@ def run_mse_experiment(
     the closed form fits the modes below it, the iterative method low-passes
     at it. Failed reconstructions are recorded per cell.
     """
-    if realizations < 1:
-        raise ValueError("need at least one realization")
     if method not in RECON_METHODS:
         raise ValueError(f"method must be one of {RECON_METHODS}")
     if not signal_cycles or not noise_sigmas:
         raise ValueError("need at least one signal and one noise level")
-    sizes = sample_sizes(cfg.n, sample_fracs)
-    m_max = max(sizes)
-    variants = tuple(variants)
     cycles = tuple(int(c) for c in signal_cycles)
     sigmas = tuple(float(s) for s in noise_sigmas)
 
-    def one(idx: int) -> np.ndarray:
-        rng = realization_rng(cfg.seed, idx)
-        pc, g, lap = build_instance(cfg, rng)
-        # the Voronoi areas are also the error metric; build each inner product once
-        inners = {v: inner_for_variant(v, g, pc) for v in dict.fromkeys(("voronoi", *variants))}
-        metric = inners["voronoi"]
+    def draw(rng, pc, inners):
+        # the Voronoi areas are also the error metric
+        metric = inners["voronoi"] if "voronoi" in inners else voronoi_areas(pc)
         truths = {c: sinewave_signal(pc, c) for c in cycles}
         # one noise draw per (signal, level), shared by all variants and sizes
-        noisy = {}
-        for c in cycles:
-            for s in sigmas:
-                noisy[c, s] = add_noise(truths[c], s, rng)
+        noisy = {(c, s): add_noise(truths[c], s, rng) for c in cycles for s in sigmas}
+        return metric, truths, noisy
 
-        cells = np.empty((len(variants), len(cycles), len(sigmas), len(sizes)))
-        for vi, variant in enumerate(variants):
-            inner = inners[variant]
-            basis = compute_basis(lap, inner)
-            selection = _greedy_from_basis(basis, m_max, cfg.proxy_k)
-            lam_max = estimate_lambda_max(lap, inner) if method == "pocs" else None
-            for si, size in enumerate(sizes):
-                chosen = selection.head(size)
-                omega = float(selection.cutoffs[size - 1])
-                for ci, c in enumerate(cycles):
-                    for ni, s in enumerate(sigmas):
-                        y = noisy[c, s][chosen]
-                        try:
-                            if method == "closed-form":
-                                band = _band_from_cutoff(basis.frequencies, omega, size)
-                                rep = consistent_reconstruct(basis, chosen, y, band=band)
-                            else:
-                                params = PocsParams(
-                                    omega=min(omega, lam_max),
-                                    lambda_max=lam_max,
-                                )
-                                rep = pocs_reconstruct(lap, inner, chosen, y, params)
-                            err = q_norm(rep.x_hat - truths[c], metric)
-                            if not np.isfinite(err):
-                                err = np.nan
-                        except (SingularGramError, RankDeficientError):
+    def block(out, data, lap, basis, selection, sizes):
+        metric, truths, noisy = data
+        lam_max = estimate_lambda_max(lap, basis.inner) if method == "pocs" else None
+        for si, size in enumerate(sizes):
+            chosen = selection.head(size)
+            omega = float(selection.cutoffs[size - 1])
+            for ci, c in enumerate(cycles):
+                for ni, s in enumerate(sigmas):
+                    y = noisy[c, s][chosen]
+                    try:
+                        if method == "closed-form":
+                            band = _band_from_cutoff(basis.frequencies, omega, size)
+                            rep = consistent_reconstruct(basis, chosen, y, band=band)
+                        else:
+                            params = PocsParams(omega=min(omega, lam_max), lambda_max=lam_max)
+                            rep = pocs_reconstruct(lap, basis.inner, chosen, y, params)
+                        err = q_norm(rep.x_hat - truths[c], metric)
+                        if not np.isfinite(err):
                             err = np.nan
-                        cells[vi, ci, ni, si] = err
-        if progress is not None:
-            progress(idx)
-        return cells
+                    except (SingularGramError, RankDeficientError):
+                        err = np.nan
+                    out[ci, ni, si] = err
 
-    stack = np.stack(_run_realizations(realizations, one, workers))
-    mean, stderr, failed = _mean_rows(stack)
-    rows = [
-        TableRow(
-            variant,
-            c,
-            s,
-            size,
-            float(mean[vi, ci, ni, si]),
-            float(stderr[vi, ci, ni, si]),
-            int(failed[vi, ci, ni, si]),
-        )
-        for vi, variant in enumerate(variants)
-        for ci, c in enumerate(cycles)
-        for ni, s in enumerate(sigmas)
-        for si, size in enumerate(sizes)
-    ]
-    return ResultTable(tuple(rows))
+    return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block, cycles, sigmas, draw)

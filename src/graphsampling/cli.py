@@ -232,134 +232,70 @@ def cmd_reconstruct(args) -> int:
     return _EXIT_OK
 
 
-def _table_all_nan(table: ResultTable) -> bool:
-    return all(np.isnan(row.mean_value) for row in table.rows)
+def _series(table: ResultTable, variants, x_scale: float = 1.0, cycles=None, sigma=None) -> list:
+    """One chart series per variant: sample size over ``x_scale`` against the mean, for one grid cell."""
+    series = []
+    for variant in variants:
+        rows = [r for r in table.rows if (r.variant, r.signal_cycles, r.noise_sigma) == (variant, cycles, sigma)]
+        series.append((variant, [r.sample_size / x_scale for r in rows], [r.mean_value for r in rows]))
+    return series
 
 
-def _bench_common(args) -> tuple[GeoConfig, int]:
-    cfg = GeoConfig(
-        n=args.n,
-        side=args.side,
-        kernel_sigma=args.kernel_sigma,
-        seed=args.seed,
-        proxy_k=args.k,
-    )
-    workers = args.threads if args.threads else (os.cpu_count() or 1)
-    return cfg, workers
-
-
-def cmd_bench_bound(args) -> int:
-    cfg, workers = _bench_common(args)
+def cmd_bench(args) -> int:
+    """``bench bound`` and ``bench mse``: run the driver, then write its CSV, charts and manifest."""
+    cfg = GeoConfig(n=args.n, side=args.side, kernel_sigma=args.kernel_sigma, seed=args.seed, proxy_k=args.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = run_bound_experiment(
-        cfg,
-        args.realizations,
-        args.fracs,
-        variants=args.variants,
-        workers=workers,
-        progress=_progress(args.realizations),
-    )
-    (out / "bound.csv").write_text(table.to_csv(), encoding="utf-8")
-    series = []
-    for variant in args.variants:
-        rows = [r for r in table.rows if r.variant == variant]
-        series.append((variant, [r.sample_size / cfg.n for r in rows], [r.mean_value for r in rows]))
-    (out / "bound.svg").write_text(
-        line_chart(
-            series,
+    run = {"variants": args.variants, "workers": args.threads, "progress": _progress(args.realizations)}
+    params = {
+        "n": cfg.n,
+        "side": cfg.side,
+        "kernel_sigma": cfg.kernel_sigma,
+        "seed": cfg.seed,
+        "k": cfg.proxy_k,
+        "realizations": args.realizations,
+        "fracs": args.fracs,
+    }
+    if args.bench_command == "bound":
+        table = run_bound_experiment(cfg, args.realizations, args.fracs, **run)
+        chart = line_chart(
+            _series(table, args.variants, x_scale=cfg.n),
             title="Mean smallest design singular value",
             x_label="sampling fraction |S|/n",
             y_label="mean sigma_min",
-        ),
-        encoding="utf-8",
-    )
-    _write_json(
-        out / "manifest.json",
-        _manifest(
-            "bench bound",
-            {
-                "n": cfg.n,
-                "side": cfg.side,
-                "kernel_sigma": cfg.kernel_sigma,
-                "seed": cfg.seed,
-                "k": cfg.proxy_k,
-                "realizations": args.realizations,
-                "fracs": args.fracs,
-                "variants": list(args.variants),
-                "out": str(out),
-            },
-        ),
-    )
-    if _table_all_nan(table):
-        print("error: every benchmark cell failed", file=sys.stderr)
-        return _EXIT_BENCH_FAILED
-    print(f"wrote {out / 'bound.csv'}")
-    return _EXIT_OK
-
-
-def cmd_bench_mse(args) -> int:
-    cfg, workers = _bench_common(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = run_mse_experiment(
-        cfg,
-        args.realizations,
-        args.fracs,
-        args.signals,
-        args.noises,
-        method=args.recon,
-        variants=args.variants,
-        workers=workers,
-        progress=_progress(args.realizations),
-    )
-    (out / "mse.csv").write_text(table.to_csv(), encoding="utf-8")
-    for cycles in args.signals:
-        for sigma in args.noises:
-            series = []
-            for variant in args.variants:
-                rows = [
-                    r
-                    for r in table.rows
-                    if r.variant == variant and r.signal_cycles == cycles and r.noise_sigma == sigma
-                ]
-                series.append((variant, [r.sample_size for r in rows], [r.mean_value for r in rows]))
-            name = f"mse_s{cycles}_sigma{sigma:g}.svg"
-            (out / name).write_text(
+        )
+        charts = [("bound.svg", chart)]
+    else:
+        table = run_mse_experiment(
+            cfg, args.realizations, args.fracs, args.signals, args.noises, method=args.recon, **run
+        )
+        charts = [
+            (
+                f"mse_s{c}_sigma{s:g}.svg",
                 line_chart(
-                    series,
-                    title=f"Mean reconstruction error, {cycles} cycles, noise {sigma:g}",
+                    _series(table, args.variants, cycles=c, sigma=s),
+                    title=f"Mean reconstruction error, {c} cycles, noise {s:g}",
                     x_label="sampling set size |S|",
                     y_label="mean area-weighted error",
                     log_y=args.log_scale,
                 ),
-                encoding="utf-8",
             )
-    _write_json(
-        out / "manifest.json",
-        _manifest(
-            "bench mse",
-            {
-                "n": cfg.n,
-                "side": cfg.side,
-                "kernel_sigma": cfg.kernel_sigma,
-                "seed": cfg.seed,
-                "k": cfg.proxy_k,
-                "realizations": args.realizations,
-                "fracs": args.fracs,
-                "signals": list(args.signals),
-                "noises": list(args.noises),
-                "recon": args.recon,
-                "log_scale": bool(args.log_scale),
-                "variants": list(args.variants),
-                "out": str(out),
-            },
-        ),
-    )
-    if _table_all_nan(table):
+            for c in args.signals
+            for s in args.noises
+        ]
+        params.update(
+            signals=list(args.signals), noises=list(args.noises), recon=args.recon, log_scale=bool(args.log_scale)
+        )
+    params.update(variants=list(args.variants), out=str(out))
+    csv_path = out / f"{args.bench_command}.csv"
+    csv_path.write_text(table.to_csv(), encoding="utf-8")
+    for name, svg in charts:
+        (out / name).write_text(svg, encoding="utf-8")
+    _write_json(out / "manifest.json", _manifest(f"bench {args.bench_command}", params))
+    if all(np.isnan(row.mean_value) for row in table.rows):
         print("error: every benchmark cell failed", file=sys.stderr)
         return _EXIT_BENCH_FAILED
-    print(f"wrote {out / 'mse.csv'}")
+    print(f"wrote {csv_path}")
     return _EXIT_OK
 
 
@@ -368,6 +304,17 @@ def _add_geometry_flags(parser, default_seed=0):
     parser.add_argument("--side", type=float, default=10.0, help="square side length")
     parser.add_argument("--kernel-sigma", type=float, default=1.0, help="Gaussian kernel width")
     parser.add_argument("--seed", type=int, default=default_seed, help="base random seed")
+
+
+def _add_bench_flags(parser, realizations: int) -> None:
+    _add_geometry_flags(parser)
+    parser.add_argument("--k", type=int, default=3, help="proxy order")
+    parser.add_argument("--realizations", type=int, default=realizations)
+    parser.add_argument("--fracs", type=_parse_fracs, default="0.1:0.9:0.1", help="START:STOP:STEP")
+    parser.add_argument("--variants", type=_parse_variants, default="identity,degree,voronoi")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads; raise only with BLAS on one thread")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.set_defaults(func=cmd_bench)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,28 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
     bound = bench_sub.add_parser("bound", help="average design quality versus sampling size")
-    _add_geometry_flags(bound)
-    bound.add_argument("--k", type=int, default=3, help="proxy order")
-    bound.add_argument("--realizations", type=int, default=200)
-    bound.add_argument("--fracs", type=_parse_fracs, default="0.1:0.9:0.1", help="START:STOP:STEP")
-    bound.add_argument("--variants", type=_parse_variants, default="identity,degree,voronoi")
-    bound.add_argument("--threads", type=int, default=None, help="worker cap (default: all cores)")
-    bound.add_argument("--out", default=".", help="output directory")
-    bound.set_defaults(func=cmd_bench_bound)
+    _add_bench_flags(bound, realizations=200)
 
     mse = bench_sub.add_parser("mse", help="mean reconstruction error of sine waves")
-    _add_geometry_flags(mse)
-    mse.add_argument("--k", type=int, default=3, help="proxy order")
-    mse.add_argument("--realizations", type=int, default=50)
-    mse.add_argument("--fracs", type=_parse_fracs, default="0.1:0.9:0.1", help="START:STOP:STEP")
+    _add_bench_flags(mse, realizations=50)
     mse.add_argument("--signals", type=_parse_int_list, default="2,3,4,5", help="sine cycles")
     mse.add_argument("--noises", type=_parse_float_list, default="0.1,0.2,0.4", help="noise levels")
     mse.add_argument("--recon", choices=RECON_METHODS, default="closed-form")
     mse.add_argument("--log-scale", action="store_true", help="log-scale error axis in SVG")
-    mse.add_argument("--variants", type=_parse_variants, default="identity,degree,voronoi")
-    mse.add_argument("--threads", type=int, default=None, help="worker cap (default: all cores)")
-    mse.add_argument("--out", default=".", help="output directory")
-    mse.set_defaults(func=cmd_bench_mse)
 
     return parser
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCellError
-from .graphs import Graph, InnerProduct, combinatorial_laplacian
+from .graphs import Graph, InnerProduct, _freeze, combinatorial_laplacian
 
 
 @dataclass(frozen=True)
@@ -18,15 +18,13 @@ class PointCloud:
     side: float
 
     def __post_init__(self):
-        pts = np.array(self.positions, dtype=float)
+        pts = _freeze(self, "positions")
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("positions must be a nonempty (n, 2) array")
         if not self.side > 0:
             raise ValueError("side must be positive")
         if (pts < 0).any() or (pts > self.side).any():
             raise ValueError("positions must lie inside the square")
-        pts.flags.writeable = False
-        object.__setattr__(self, "positions", pts)
 
     @property
     def n(self) -> int:

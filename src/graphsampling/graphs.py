@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -16,9 +17,11 @@ from .errors import (
 VARIANTS = ("identity", "degree", "voronoi")
 
 
-def _freeze(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _freeze(obj, name: str, dtype=float) -> np.ndarray:
+    """Replace field ``name`` of frozen dataclass ``obj`` by a read-only copy, and return the copy."""
+    out = np.array(getattr(obj, name), dtype=dtype)
     out.flags.writeable = False
+    object.__setattr__(obj, name, out)
     return out
 
 
@@ -33,7 +36,7 @@ class Graph:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = _freeze(self, "weights")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
         if w.shape[0] < 1:
@@ -47,8 +50,6 @@ class Graph:
             raise ValueError("weights must be nonnegative")
         if np.diagonal(w).any():
             raise ValueError("weight matrix must have a zero diagonal")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
@@ -71,13 +72,11 @@ class InnerProduct:
     def __post_init__(self):
         if self.variant not in (*VARIANTS, "custom"):
             raise ValueError(f"unknown inner product variant: {self.variant!r}")
-        q = np.array(self.entries, dtype=float)
+        q = _freeze(self, "entries")
         if q.ndim != 1 or q.size < 1:
             raise ValueError("entries must be a nonempty vector")
         if not np.isfinite(q).all() or (q <= 0).any():
             raise ValueError("entries must be finite and strictly positive")
-        q.flags.writeable = False
-        object.__setattr__(self, "entries", q)
 
     @property
     def n(self) -> int:
@@ -136,6 +135,7 @@ def vertex_set(indices, n: int) -> np.ndarray:
         raise ValueError("duplicate vertex ids")
     return out
 
+
 def complement(indices, n: int) -> np.ndarray:
     """Sorted vertices of ``[0, n)`` not contained in ``indices``."""
     keep = np.ones(n, dtype=bool)
@@ -178,18 +178,21 @@ def graph_from_json(data: dict) -> Graph:
     """Rebuild a graph from its JSON dict, symmetrizing the listed edges.
 
     Each edge may be listed once; a repeated ``(i, j)`` pair is rejected
-    rather than silently overwriting the earlier weight.
+    rather than silently overwriting the earlier weight, and a fractional
+    ``n`` or vertex id rather than truncated.
     """
-    n = int(data["n"])
-    rows, cols, vals = [], [], []
-    for i, j, val in data["edges"]:
-        i, j = int(i), int(j)
-        if not 0 <= i < j < n:
-            raise ValueError("edges must satisfy 0 <= i < j < n")
-        rows.append(i)
-        cols.append(j)
-        vals.append(float(val))
-    keys = np.sort(np.asarray(rows, dtype=np.intp) * n + np.asarray(cols, dtype=np.intp))
+    n, edges = float(data["n"]), data["edges"]
+    if any(len(edge) != 3 for edge in edges):
+        raise ValueError("edges must be [i, j, weight] triples")
+    i, j, vals = np.fromiter(chain.from_iterable(edges), dtype=float, count=3 * len(edges)).reshape(-1, 3).T
+    # a NaN or infinite size leaves a NaN remainder, a NaN id fails the comparison,
+    # and an infinite id fails the range check below
+    if n % 1 or np.any(i != np.floor(i)) or np.any(j != np.floor(j)):
+        raise ValueError("graph size and vertex ids must be integers")
+    if not np.all((0 <= i) & (i < j) & (j < n)):
+        raise ValueError("edges must satisfy 0 <= i < j < n")
+    n, rows, cols = int(n), i.astype(np.intp), j.astype(np.intp)
+    keys = np.sort(rows * n + cols)
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("an edge is listed more than once")
     w = np.zeros((n, n))

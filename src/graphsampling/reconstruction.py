@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyVertexSetError, SingularGramError
-from .graphs import InnerProduct, q_norm, vertex_set
+from .graphs import InnerProduct, _freeze, q_norm, vertex_set
 from .spectral import SpectralBasis, bandlimit_split
 
 
@@ -220,9 +220,7 @@ class ChebyshevSeries:
     max_grid_error: float
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        _freeze(self, "coeffs")
 
 
 def evaluate_cheb_series(coeffs, lambda_max: float, freqs) -> np.ndarray:

@@ -13,7 +13,7 @@ from .errors import (
     SingularGramError,
     ZeroSignalError,
 )
-from .graphs import InnerProduct, complement, q_norm, vertex_set
+from .graphs import InnerProduct, _freeze, complement, q_norm, vertex_set
 from .reconstruction import _design
 from .spectral import SpectralBasis, compute_basis
 
@@ -81,9 +81,7 @@ class CutoffEstimate:
     minimizer: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.minimizer, dtype=float)
-        phi.flags.writeable = False
-        object.__setattr__(self, "minimizer", phi)
+        _freeze(self, "minimizer")
 
 
 def cutoff_frequency(
@@ -144,16 +142,12 @@ class SamplingResult:
     cutoffs: np.ndarray
 
     def __post_init__(self):
-        order = np.array(self.order, dtype=np.intp)
-        cutoffs = np.array(self.cutoffs, dtype=float)
+        order = _freeze(self, "order", np.intp)
+        cutoffs = _freeze(self, "cutoffs")
         if order.ndim != 1 or order.shape != cutoffs.shape:
             raise ValueError("order and cutoffs must be 1-d and equally long")
         if np.unique(order).size != order.size:
             raise ValueError("selected vertices must be distinct")
-        order.flags.writeable = False
-        cutoffs.flags.writeable = False
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cutoffs", cutoffs)
 
     def head(self, m: int) -> np.ndarray:
         """The first ``m`` selected vertices as a sorted index array."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotFiniteError
-from .graphs import InnerProduct
+from .graphs import InnerProduct, _freeze
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,8 @@ class SpectralBasis:
     inner: InnerProduct
 
     def __post_init__(self):
-        u = np.array(self.modes, dtype=float)
-        lam = np.array(self.frequencies, dtype=float)
-        u.flags.writeable = False
-        lam.flags.writeable = False
-        object.__setattr__(self, "modes", u)
-        object.__setattr__(self, "frequencies", lam)
+        _freeze(self, "modes")
+        _freeze(self, "frequencies")
 
     @property
     def n(self) -> int:

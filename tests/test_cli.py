@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphsampling as gs
-from graphsampling.cli import main
+from graphsampling.cli import build_parser, main
 
 
 def read_json(path):
@@ -209,7 +209,19 @@ class TestBench:
         assert csv_text.startswith("variant,signal_cycles,noise_sigma,sample_size,mean_value,stderr,n_failed")
         assert len(csv_text.strip().splitlines()) == 1 + 3 * 3
         assert (tmp_path / "bound.svg").exists()
-        assert (tmp_path / "manifest.json").exists()
+        manifest = read_json(tmp_path / "manifest.json")
+        assert manifest["command"] == "bench bound"
+        assert list(manifest["parameters"].items()) == [
+            ("n", 12),
+            ("side", 10.0),
+            ("kernel_sigma", 2.0),
+            ("seed", 5),
+            ("k", 3),
+            ("realizations", 2),
+            ("fracs", [0.25, 0.5, 0.75]),
+            ("variants", ["identity", "degree", "voronoi"]),
+            ("out", str(tmp_path)),
+        ]
 
     def test_mse_outputs_one_panel_per_grid_cell(self, tmp_path):
         code = main([
@@ -227,6 +239,27 @@ class TestBench:
             "mse_s3_sigma0.1.svg",
             "mse_s3_sigma0.2.svg",
         ]
+        manifest = read_json(tmp_path / "manifest.json")
+        assert manifest["command"] == "bench mse"
+        assert list(manifest["parameters"].items()) == [
+            ("n", 12),
+            ("side", 10.0),
+            ("kernel_sigma", 2.0),
+            ("seed", 5),
+            ("k", 3),
+            ("realizations", 1),
+            ("fracs", [0.3, 0.6]),
+            ("signals", [2, 3]),
+            ("noises", [0.1, 0.2]),
+            ("recon", "closed-form"),
+            ("log_scale", True),
+            ("variants", ["identity", "degree", "voronoi"]),
+            ("out", str(tmp_path)),
+        ]
+
+    @pytest.mark.parametrize("command", ["bound", "mse"])
+    def test_one_worker_by_default(self, command):
+        assert build_parser().parse_args(["bench", command]).threads == 1
 
     def test_bad_fracs_exit_two(self, tmp_path):
         code = main(["bench", "bound", "--fracs", "0.5:0.1:0.1", "--out", str(tmp_path)])
@@ -266,12 +299,15 @@ class TestBench:
         (["bench", "bound", "--n", "12", "--realizations", "0", "--threads", "1"], None),
         (["bench", "bound", "--n", "1", "--realizations", "1", "--threads", "1"], None),
         (["bench", "mse", "--n", "1", "--realizations", "1", "--threads", "1"], None),
+        (["bench", "bound", "--n", "12", "--realizations", "1", "--threads", "0"], None),
+        (["bench", "mse", "--n", "12", "--realizations", "1", "--threads", "1", "--variants", "degree,degree"], None),
         (["reconstruct", "--q", "degree", "--band", "2"], '{"values": [1.0, 2.0]}'),
         (["reconstruct", "--q", "degree", "--band", "2"], "not json"),
         (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1.5], "values": [1.0, 2.0]}'),
     ],
     ids=[
         "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
+        "zero-threads", "repeated-variant",
         "no-vertices", "not-json", "fractional-vertex",
     ],
 )

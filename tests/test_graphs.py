@@ -38,6 +38,33 @@ class TestGraph:
             g.weights[0, 1] = 5.0
 
 
+# every array field of a frozen dataclass, with the constructor arguments of one small instance
+_BASIS = (gs.SpectralBasis, {"modes": np.eye(2), "frequencies": [0.0, 1.0], "inner": gs.identity_inner_product(2)})
+_SELECTION = (gs.SamplingResult, {"order": [1, 0], "cutoffs": [0.1, 0.2]})
+READ_ONLY_FIELDS = {
+    "Graph.weights": (gs.Graph, {"weights": PATH3}),
+    "InnerProduct.entries": (gs.InnerProduct, {"variant": "custom", "entries": [1.0, 2.0]}),
+    "PointCloud.positions": (gs.PointCloud, {"positions": [[1.0, 2.0]], "side": 10.0}),
+    "SpectralBasis.modes": _BASIS,
+    "SpectralBasis.frequencies": _BASIS,
+    "CutoffEstimate.minimizer": (gs.CutoffEstimate, {"omega": 0.5, "minimizer": [1.0, 0.0]}),
+    "SamplingResult.order": _SELECTION,
+    "SamplingResult.cutoffs": _SELECTION,
+    "ChebyshevSeries.coeffs": (gs.ChebyshevSeries, {"coeffs": [1.0, 0.5], "lambda_max": 2.0, "max_grid_error": 0.0}),
+}
+
+
+@pytest.mark.parametrize("name", list(READ_ONLY_FIELDS))
+def test_array_fields_are_read_only_copies(name):
+    cls, kwargs = READ_ONLY_FIELDS[name]
+    field = name.split(".")[1]
+    source = np.array(kwargs[field])
+    value = getattr(cls(**{**kwargs, field: source}), field)
+    assert not np.shares_memory(value, source)
+    with pytest.raises(ValueError, match="read-only"):
+        value[(0,) * value.ndim] = 1
+
+
 class TestLaplacian:
     def test_three_vertex_path(self):
         lap = gs.combinatorial_laplacian(gs.Graph(PATH3))
@@ -181,6 +208,16 @@ class TestGraphJson:
     def test_bad_edge_order_rejected(self):
         with pytest.raises(ValueError):
             gs.graph_from_json({"n": 3, "edges": [[2, 0, 1.0]]})
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"n": 3, "edges": [[0, 2.7, 1.0]]}, {"n": 3, "edges": [[0.5, 2, 1.0]]}, {"n": 3.5, "edges": []}],
+        ids=["fractional-j", "fractional-i", "fractional-n"],
+    )
+    def test_fractional_ids_rejected(self, data):
+        # int() would truncate: the edge [0, 2.7, w] would load as the edge (0, 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            gs.graph_from_json(data)
 
     def test_repeated_edge_rejected(self):
         with pytest.raises(ValueError, match="more than once"):
