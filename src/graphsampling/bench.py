@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Sequence
 
@@ -25,16 +25,6 @@ from .sampling import _greedy_from_basis, e_opt_metric
 from .spectral import compute_basis, estimate_lambda_max
 
 RECON_METHODS = ("closed-form", "pocs")
-
-CSV_COLUMNS = (
-    "variant",
-    "signal_cycles",
-    "noise_sigma",
-    "sample_size",
-    "mean_value",
-    "stderr",
-    "n_failed",
-)
 
 
 def realization_rng(seed: int, index: int) -> np.random.Generator:
@@ -64,6 +54,8 @@ def sample_sizes(n: int, fracs: Sequence[float]) -> list[int]:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
@@ -80,6 +72,9 @@ class TableRow:
     n_failed: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(TableRow))
+
+
 @dataclass(frozen=True)
 class ResultTable:
     """Aggregated benchmark results with a stable CSV serialization."""
@@ -88,20 +83,7 @@ class ResultTable:
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        r.variant,
-                        _fmt(r.signal_cycles),
-                        _fmt(r.noise_sigma),
-                        _fmt(r.sample_size),
-                        _fmt(r.mean_value),
-                        _fmt(r.stderr),
-                        _fmt(r.n_failed),
-                    )
-                )
-            )
+        lines += [",".join(_fmt(getattr(r, name)) for name in CSV_COLUMNS) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 

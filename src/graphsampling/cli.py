@@ -34,6 +34,13 @@ _EXIT_NUMERICAL = 3
 _EXIT_BENCH_FAILED = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose rejections, subcommands' included, print one ``error:`` line and exit 2."""
+
+    def error(self, message):
+        self.exit(_EXIT_USAGE, f"error: {message}\n")
+
+
 def _manifest(command: str, params: dict) -> dict:
     return {
         "tool": "graphsampling",
@@ -245,7 +252,6 @@ def cmd_bench(args) -> int:
     """``bench bound`` and ``bench mse``: run the driver, then write its CSV, charts and manifest."""
     cfg = GeoConfig(n=args.n, side=args.side, kernel_sigma=args.kernel_sigma, seed=args.seed, proxy_k=args.k)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     run = {"variants": args.variants, "workers": args.threads, "progress": _progress(args.realizations)}
     params = {
         "n": cfg.n,
@@ -287,6 +293,8 @@ def cmd_bench(args) -> int:
             signals=list(args.signals), noises=list(args.noises), recon=args.recon, log_scale=bool(args.log_scale)
         )
     params.update(variants=list(args.variants), out=str(out))
+    # created only now, so a rejected run leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{args.bench_command}.csv"
     csv_path.write_text(table.to_csv(), encoding="utf-8")
     for name, svg in charts:
@@ -318,7 +326,7 @@ def _add_bench_flags(parser, realizations: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphsampling",
         description="Vertex sampling set selection and reconstruction on geometric graphs.",
     )

@@ -32,42 +32,53 @@ class ReconstructionReport:
     last_rel_change: float | None = None
     history: tuple[np.ndarray, ...] | None = None
 
-
-def _sample_vertices(sampled, n: int):
-    """Validate sample locations; return them sorted by vertex id, and the sorting permutation."""
-    s = np.asarray(sampled)
-    if s.ndim != 1:
-        raise DimensionMismatchError("sampled vertices and values must be equally long vectors")
-    if s.size == 0:
-        raise EmptyVertexSetError("at least one sample is required")
-    return vertex_set(s, n), np.argsort(s, kind="stable")
+    def __post_init__(self):
+        _freeze(self, "x_hat")
 
 
 def _paired_samples(sampled, values, n: int):
-    """Validate sample locations/values and sort the pairs by vertex id."""
+    """Validate non-empty sample ids, and values of the same shape when given; sort both by id."""
     s = np.asarray(sampled)
-    y = np.asarray(values, dtype=float)
-    if s.shape != y.shape:
+    y = None if values is None else np.asarray(values, dtype=float)
+    if s.ndim != 1 or (y is not None and y.shape != s.shape):
         raise DimensionMismatchError("sampled vertices and values must be equally long vectors")
-    s, order = _sample_vertices(s, n)
-    return s, y[order]
+    if s.size == 0:
+        raise EmptyVertexSetError("at least one sample is required")
+    return vertex_set(s, n), None if y is None else y[np.argsort(s, kind="stable")]
 
 
-def _design(basis: SpectralBasis, sampled: np.ndarray, band: int):
-    """The sampled design: rows of the first ``band`` modes and the weights at ``sampled``.
+def _design(basis: SpectralBasis, sampled, band: int | None, values=None):
+    """Validated sampled design ``(ids, values, u_s, q_s)``, ``1 <= band <= |S|`` (``None``: ``|S|``).
 
-    ``sampled`` must already be validated and sorted.
+    ``u_s`` holds the first ``band`` modes at the sorted ids and ``q_s`` the
+    weights there: ``sqrt(q_s) * u_s`` is the weighted design matrix.
     """
-    return basis.modes[sampled][:, :band], basis.inner.entries[sampled]
+    s, y = _paired_samples(sampled, values, basis.n)
+    band = s.size if band is None else int(band)
+    if not 1 <= band <= s.size:
+        raise ValueError(f"band must lie in [1, {s.size}], got {band}")
+    return s, y, basis.modes[s][:, :band], basis.inner.entries[s]
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _gram(u_s: np.ndarray, q_s: np.ndarray) -> np.ndarray:
+    """Gram matrix ``U_S^T Q_S U_S`` of the sampled design."""
+    return u_s.T @ (q_s[:, None] * u_s)
+
+
+def _sigma_min(u_s: np.ndarray, q_s: np.ndarray) -> float:
+    """Smallest singular value of the weighted design ``Q_S^{1/2} U_S``."""
+    return float(np.linalg.svd(np.sqrt(q_s)[:, None] * u_s, compute_uv=False)[-1])
+
+
+def _fit(basis: SpectralBasis, u_s: np.ndarray, q_s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Synthesis ``U_band G^{-1} rhs`` with the design's Gram ``G``; ``SingularGramError`` unless ``G`` is PD."""
+    gram = _gram(u_s, q_s)
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(gram)
         raise SingularGramError(float(np.sqrt(max(w[0], 0.0)))) from None
-    return np.linalg.solve(gram, rhs)
+    return basis.modes[:, : u_s.shape[1]] @ np.linalg.solve(gram, rhs)
 
 
 def consistent_reconstruct(
@@ -100,14 +111,8 @@ def consistent_reconstruct(
     SingularGramError
         If the sampled-mode Gram matrix is not numerically positive definite.
     """
-    s, y = _paired_samples(sampled, values, basis.n)
-    band = s.size if band is None else int(band)
-    if not 1 <= band <= s.size:
-        raise ValueError(f"band must lie in [1, {s.size}]")
-    u_s, q_s = _design(basis, s, band)
-    gram = u_s.T @ (q_s[:, None] * u_s)
-    coeffs = _solve_gram(gram, u_s.T @ (q_s * y))
-    x_hat = basis.modes[:, :band] @ coeffs
+    s, y, u_s, q_s = _design(basis, sampled, band, values)
+    x_hat = _fit(basis, u_s, q_s, u_s.T @ (q_s * y))
     residual = float(np.max(np.abs(x_hat[s] - y)))
     q_err = q_norm(x_hat - np.asarray(truth, dtype=float), basis.inner) if truth is not None else None
     return ReconstructionReport(x_hat, 0, residual, q_error=q_err)
@@ -120,14 +125,8 @@ def error_covariance(basis: SpectralBasis, sampled, band: int) -> np.ndarray:
     its largest eigenvalue is the squared inverse of the smallest weighted
     design singular value.
     """
-    s, _ = _sample_vertices(sampled, basis.n)
-    band = int(band)
-    if not 1 <= band <= s.size:
-        raise ValueError(f"band must lie in [1, {s.size}]")
-    u_s, q_s = _design(basis, s, band)
-    gram = u_s.T @ (q_s[:, None] * u_s)
-    solved = _solve_gram(gram, basis.modes[:, :band].T)
-    return basis.modes[:, :band] @ solved * basis.inner.entries[None, :]
+    _, _, u_s, q_s = _design(basis, sampled, band)
+    return _fit(basis, u_s, q_s, basis.modes[:, : u_s.shape[1]].T) * basis.inner.entries[None, :]
 
 
 def verify_error_bound(basis: SpectralBasis, sampled, band: int, x):
@@ -141,14 +140,10 @@ def verify_error_bound(basis: SpectralBasis, sampled, band: int, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise DimensionMismatchError(f"signal must have shape ({basis.n},)")
-    s, _ = _sample_vertices(sampled, basis.n)
-    report = consistent_reconstruct(basis, s, x[s], band=band)
-    lhs = q_norm(x - report.x_hat, basis.inner)
-
-    u_s, q_s = _design(basis, s, band)
-    rows = np.sqrt(q_s)[:, None] * u_s
-    sigma = float(np.linalg.svd(rows, compute_uv=False)[-1])
-    _, high = bandlimit_split(basis, x, band)
+    s, _, u_s, q_s = _design(basis, sampled, band)
+    lhs = q_norm(x - _fit(basis, u_s, q_s, u_s.T @ (q_s * x[s])), basis.inner)
+    sigma = _sigma_min(u_s, q_s)
+    _, high = bandlimit_split(basis, x, u_s.shape[1])
     rhs = q_norm(high, basis.inner) / sigma if sigma > 0.0 else math.inf
     return lhs, rhs
 

@@ -14,7 +14,7 @@ from .errors import (
     ZeroSignalError,
 )
 from .graphs import InnerProduct, _freeze, complement, q_norm, vertex_set
-from .reconstruction import _design
+from .reconstruction import _design, _gram, _sigma_min
 from .spectral import SpectralBasis, compute_basis
 
 DEFAULT_PROXY_ORDER = 3
@@ -273,15 +273,8 @@ def e_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
         If the value falls below 1e-12, i.e. the sampling set cannot see
         the band.
     """
-    band = int(band)
-    sampled = vertex_set(sampled, basis.n)
-    if band < 1:
-        raise ValueError("band must contain at least one mode")
-    if sampled.size < band:
-        raise ValueError(f"need at least {band} samples, got {sampled.size}")
-    u_s, q_s = _design(basis, sampled, band)
-    rows = np.sqrt(q_s)[:, None] * u_s
-    sigma = float(np.linalg.svd(rows, compute_uv=False)[-1])
+    _, _, u_s, q_s = _design(basis, sampled, band)
+    sigma = _sigma_min(u_s, q_s)
     if sigma < 1e-12:
         raise RankDeficientError(sigma)
     return sigma
@@ -295,13 +288,8 @@ def a_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
     SingularGramError
         If the Gram matrix of the sampled modes is numerically singular.
     """
-    band = int(band)
-    if band < 1:
-        raise ValueError("band must contain at least one mode")
-    sampled = vertex_set(sampled, basis.n)
-    u_s, q_s = _design(basis, sampled, band)
-    gram = u_s.T @ (q_s[:, None] * u_s)
-    w = np.linalg.eigvalsh(gram)
+    _, _, u_s, q_s = _design(basis, sampled, band)
+    w = np.linalg.eigvalsh(_gram(u_s, q_s))
     if w[0] <= 1e-13 * max(float(w[-1]), 1e-300):
         raise SingularGramError(float(np.sqrt(max(w[0], 0.0))))
     return float(np.sum(1.0 / w))

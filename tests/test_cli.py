@@ -304,11 +304,16 @@ class TestBench:
         (["reconstruct", "--q", "degree", "--band", "2"], '{"values": [1.0, 2.0]}'),
         (["reconstruct", "--q", "degree", "--band", "2"], "not json"),
         (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1.5], "values": [1.0, 2.0]}'),
+        (["bench", "bound", "--n", "12", "--fracs", "0.5:0.1:0.1"], None),
+        (["bench", "mse", "--n", "12", "--variants", "foo"], None),
+        (["bench", "bound", "--n", "12", "--threads", "abc"], None),
+        (["select", "--q", "degree", "--m", "x"], None),
     ],
     ids=[
         "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
         "zero-threads", "repeated-variant",
         "no-vertices", "not-json", "fractional-vertex",
+        "reversed-fracs", "unknown-variant", "non-integer-threads", "non-integer-target",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples):
@@ -324,3 +329,5 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "bench":
+        assert not (tmp_path / "out").exists()

@@ -50,6 +50,7 @@ READ_ONLY_FIELDS = {
     "CutoffEstimate.minimizer": (gs.CutoffEstimate, {"omega": 0.5, "minimizer": [1.0, 0.0]}),
     "SamplingResult.order": _SELECTION,
     "SamplingResult.cutoffs": _SELECTION,
+    "ReconstructionReport.x_hat": (gs.ReconstructionReport, {"x_hat": [1.0, 2.0], "iters": 0, "residual_s": 0.0}),
     "ChebyshevSeries.coeffs": (gs.ChebyshevSeries, {"coeffs": [1.0, 0.5], "lambda_max": 2.0, "max_grid_error": 0.0}),
 }
 

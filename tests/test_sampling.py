@@ -345,9 +345,16 @@ class TestAOptMetric:
         assert gs.a_opt_metric(basis, sampled, 3) == pytest.approx(oracle, rel=1e-9)
 
     def test_singular_gram_rejected(self):
+        # two disconnected triangles: both samples sit on one component
+        lap = gs.combinatorial_laplacian(two_triangles())
+        basis = gs.compute_basis(lap, gs.identity_inner_product(6))
+        with pytest.raises(SingularGramError):
+            gs.a_opt_metric(basis, [0, 1], 2)
+
+    def test_fewer_samples_than_band_rejected(self):
         pc, g, lap = geometric_instance(seed=22, n=8)
         basis = gs.compute_basis(lap, gs.identity_inner_product(8))
-        with pytest.raises(SingularGramError):
+        with pytest.raises(ValueError, match="band must lie in"):
             gs.a_opt_metric(basis, [1, 4], 3)
 
     def test_singular_gram_reports_design_singular_value(self):
