@@ -21,8 +21,8 @@ class ReconstructionReport:
     low-pass filter applications. ``residual_s`` is the largest absolute
     deviation between the reconstruction and the given samples. ``q_error``
     is filled only when a ground-truth signal was supplied. ``history`` holds
-    the start iterate and every conjugate-gradient iterate of PoCS when
-    recording was requested.
+    the start iterate and every conjugate-gradient iterate of PoCS, one per
+    row of a read-only array, when recording was requested.
     """
 
     x_hat: np.ndarray
@@ -30,10 +30,12 @@ class ReconstructionReport:
     residual_s: float
     q_error: float | None = None
     last_rel_change: float | None = None
-    history: tuple[np.ndarray, ...] | None = None
+    history: np.ndarray | None = None
 
     def __post_init__(self):
         _freeze(self, "x_hat")
+        if self.history is not None:
+            _freeze(self, "history")
 
 
 def _paired_samples(sampled, values, n: int):
@@ -399,5 +401,5 @@ def pocs_reconstruct(
         residual,
         q_error=q_err,
         last_rel_change=rel_change,
-        history=tuple(history) if history is not None else None,
+        history=history,
     )

@@ -94,7 +94,9 @@ def cutoff_frequency(
 
     Computed from the eigendecomposition of the symmetrized operator ``B``
     and the smallest eigenpair of ``B^{2k}`` restricted to the unsampled
-    vertices, the same route each growth step of :func:`greedy_select` takes.
+    vertices: the route the even-size growth steps of :func:`greedy_select`
+    take, whose odd-size steps reach the same eigenvalue through the
+    secular equation.
     """
     k = _check_order(k)
     keep = complement(sampled, inner.n)
@@ -121,10 +123,14 @@ def _restricted_cutoff(gram: np.ndarray, inner: InnerProduct, keep: np.ndarray, 
     ``sqrt(q[keep])`` maps it back to a signal on the graph.
     """
     vals, vecs = np.linalg.eigh(gram[np.ix_(keep, keep)])
-    omega = max(float(vals[0]), 0.0) ** (1.0 / (2.0 * k))
     phi = np.zeros(inner.n)
     phi[keep] = _canonical_sign(vecs[:, 0] / np.sqrt(inner.entries[keep]))
-    return CutoffEstimate(omega, phi)
+    return CutoffEstimate(_omega(vals[0], k), phi)
+
+
+def _omega(power: float, k: int) -> float:
+    """Cutoff from an eigenvalue of ``B^{2k}``, whose roundoff may be negative."""
+    return max(float(power), 0.0) ** (1.0 / (2.0 * k))
 
 
 def _canonical_sign(phi: np.ndarray) -> np.ndarray:
@@ -154,49 +160,48 @@ class SamplingResult:
         return np.sort(self.order[:m])
 
 
-def _best_singleton(v: np.ndarray, d: np.ndarray, inner: InnerProduct, k: int) -> tuple[int, CutoffEstimate]:
-    """Exact cutoff of every singleton sampling set from one eigendecomposition.
+def _largest_root(w: np.ndarray, d: np.ndarray) -> tuple[int, float, float]:
+    """Row of ``w = V[rows] ** 2`` whose deletion leaves ``V diag(d) V^T`` the largest smallest eigenvalue.
 
-    With ``(V, d)`` from :func:`_eigenpairs`, the cutoff of ``{i}`` is the
-    (2k)-th root of the smallest eigenvalue of ``B^{2k} = V diag(d) V^T``
-    with row and column ``i`` deleted. By interlacing that
-    eigenvalue lies in ``[d_0, d_1]``, where it is the root of the secular
-    equation ``sum_j V_ij^2 / (d_j - mu) = 0`` (Golub, "Some modified matrix
-    eigenvalue problems", SIAM Review 1973). The root is bracketed by
-    bisection for all vertices at once, to ``2 eps`` relative accuracy or to
-    the ``eps^2 d_max`` noise floor of the eigendecomposition.
-
-    Returns the vertex with the largest cutoff (lowest id on ties) and its
-    estimate.
+    ``d`` ascends. By interlacing that eigenvalue lies in ``[d_0, d_1]``, where
+    it is the root of the increasing secular function
+    ``f_i(mu) = sum_j w_ij / (d_j - mu)`` (Golub, "Some modified matrix
+    eigenvalue problems", SIAM Review 1973). One bisection of a scalar
+    bracket finds the largest root: each halving costs one matrix-vector
+    product and keeps the rows with ``f_i < 0``, whose roots lie above it. It
+    stops at width ``tol = 4 eps max(|d_0|, |d_1|)`` plus the ``eps^2 d_max``
+    noise floor, so every midpoint lies strictly between two poles. Returns
+    the lowest row left (rows within ``tol`` tie), the midpoint and ``tol``.
     """
-    w = v * v
-    n = inner.n
-    eps = np.finfo(float).eps
-    floor = max(eps * eps * float(d[-1]), np.finfo(float).tiny)
+    eps = float(np.finfo(float).eps)
+    lo, hi = float(d[0]), float(d[1])
+    tol = 4.0 * eps * max(abs(lo), abs(hi)) + max(eps * eps * float(d[-1]), float(np.finfo(float).tiny))
+    rows = np.arange(len(w))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f = w.dot(1.0 / (d - mid))
+        signs = f.tolist()  # plain floats: cheaper to compare than a numpy reduction
+        if min(signs) < 0.0:
+            lo = mid
+            if max(signs) >= 0.0:
+                w, rows = w[f < 0.0], rows[f < 0.0]
+        else:
+            hi = mid
+    return int(rows[0]), 0.5 * (lo + hi), tol
 
-    def tol(hi):
-        return 2.0 * eps * hi + floor
 
-    lo = np.full(n, d[0])
-    hi = np.full(n, d[1])
-    active = np.flatnonzero(hi - lo > tol(hi))
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        # every pole lies outside the open bracket, so no term divides by zero
-        secular = (w[active] / (d[None, :] - mid[:, None])).sum(axis=1)
-        below = secular < 0.0
-        lo[active[below]] = mid[below]
-        hi[active[~below]] = mid[~below]
-        active = active[hi[active] - lo[active] > tol(hi[active])]
-    mu = 0.5 * (lo + hi)
+def _deleted_minimizer(v: np.ndarray, d: np.ndarray, i: int, mu: float, tol: float) -> np.ndarray:
+    """Eigenvector for the root ``mu`` of row ``i`` (see :func:`_largest_root`), with a zero at ``i``.
 
-    best = int(np.argmax(mu))
-    gap = d - mu[best]
-    hit = np.flatnonzero(np.abs(gap) <= tol(hi[best]))
-    row = v[best]
+    Away from the poles it is the resolvent column ``V (V_i / (d - mu))``.
+    When ``mu`` is within ``tol`` of an eigenvalue (star centre, disconnected
+    triangles) it lies in that eigenspace, as the combination of its modes
+    that vanishes at ``i``.
+    """
+    gap = d - mu
+    hit = np.flatnonzero(np.abs(gap) <= tol)
+    row = v[i]
     if hit.size:
-        # mu equals an eigenvalue: the minimizer lies in that eigenspace, as
-        # the combination of its modes that vanishes at the deleted vertex
         r = row[hit]
         j = int(np.argmin(np.abs(r)))
         coeffs = np.eye(hit.size)[j]
@@ -205,10 +210,8 @@ def _best_singleton(v: np.ndarray, d: np.ndarray, inner: InnerProduct, k: int) -
         z = v[:, hit] @ coeffs
     else:
         z = v @ (row / gap)
-    phi = z / np.sqrt(inner.entries)
-    phi[best] = 0.0
-    omega = max(float(mu[best]), 0.0) ** (1.0 / (2.0 * k))
-    return best, CutoffEstimate(omega, _canonical_sign(phi))
+    z[i] = 0.0
+    return z
 
 
 def greedy_select(
@@ -222,11 +225,15 @@ def greedy_select(
     Both phases read one eigendecomposition of the symmetrized operator
     ``B``. The first vertex is chosen by scoring every singleton set
     exactly: the minimizer for the empty set is the constant kernel mode,
-    whose entries carry no per-vertex information. All ``n`` singleton
-    cutoffs come from a vectorized secular-equation solve, so this phase
-    costs O(n^3). Each subsequent vertex is the one with the largest
+    whose entries carry no per-vertex information. One bisection of the
+    secular equation over all ``n`` singletons finds the best, at O(n^2)
+    per halving. Each subsequent vertex is the one with the largest
     magnitude in the current minimizer, ties going to the lowest vertex id;
-    its cutoff comes from ``B^{2k}`` restricted to the unsampled vertices.
+    its cutoff is the smallest eigenvalue of ``B^{2k}`` restricted to the
+    unsampled vertices. At even sizes that restriction is eigendecomposed
+    afresh; at odd sizes it is the last decomposed restriction with one more
+    row and column deleted, whose eigenpair the same secular equation gives
+    in O(p^2). The growth phase thus runs ``m // 2`` eigendecompositions.
     Deterministic for fixed inputs.
 
     Raises
@@ -245,18 +252,30 @@ def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
     m = int(m)
     if not 1 <= m < n:
         raise InvalidTargetError(f"sampling set size must be in [1, {n}), got {m}")
+    q = inner.entries
     v, d = _eigenpairs(basis, k)
-    best_vertex, current = _best_singleton(v, d, inner, k)
-    order = [best_vertex]
-    cutoffs = [current.omega]
     gram = (v * d) @ v.T if m > 1 else None
-    while len(order) < m:
-        scores = np.abs(current.minimizer)
-        scores[order] = -1.0
-        nxt = int(np.argmax(scores))
-        order.append(nxt)
-        current = _restricted_cutoff(gram, inner, complement(order, n), k)
-        cutoffs.append(current.omega)
+    i, mu, tol = _largest_root(v * v, d)
+    vals, vecs, keep = d, v, np.arange(n)
+    order, cutoffs = [], []
+    while True:
+        # odd size: row i deleted from the held eigenpairs (vals, vecs) of B^{2k} on keep
+        scores = np.abs(_deleted_minimizer(vecs, vals, i, mu, tol) / np.sqrt(q[keep]))
+        order.append(int(keep[i]))
+        cutoffs.append(_omega(mu, k))
+        keep, scores = np.delete(keep, i), np.delete(scores, i)
+        if len(order) == m:
+            break
+        # even size: the restriction decomposed afresh, and held for the next pick
+        i = int(np.argmax(scores))
+        order.append(int(keep[i]))
+        keep = np.delete(keep, i)
+        vals, vecs = np.linalg.eigh(gram[np.ix_(keep, keep)])
+        cutoffs.append(_omega(vals[0], k))
+        if len(order) == m:
+            break
+        i = int(np.argmax(np.abs(vecs[:, 0] / np.sqrt(q[keep]))))
+        _, mu, tol = _largest_root(vecs[i : i + 1] ** 2, vals)
     return SamplingResult(np.asarray(order), np.asarray(cutoffs))
 
 

@@ -33,6 +33,11 @@ class TestGen:
         gen(tmp_path / "b")
         assert (tmp_path / "a" / "graph.json").read_bytes() == (tmp_path / "b" / "graph.json").read_bytes()
 
+    def test_graph_round_trips_through_graph_from_json(self, tmp_path):
+        assert gen(tmp_path, "--q", "identity") == 0
+        _, g, _ = gs.build_instance(gs.GeoConfig(n=24, kernel_sigma=2.0, seed=7), np.random.default_rng(7))
+        np.testing.assert_array_equal(gs.graph_from_json(read_json(tmp_path / "graph.json")).weights, g.weights)
+
     def test_all_variants(self, tmp_path):
         assert gen(tmp_path, "--q", "all") == 0
         for variant in ("identity", "degree", "voronoi"):

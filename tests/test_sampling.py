@@ -220,6 +220,18 @@ class TestGreedySelect:
         assert np.unique(res.order).size == 3
         assert np.isfinite(res.cutoffs).all()
 
+    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("graph", [star_graph(6), two_triangles()], ids=["star", "triangles"])
+    def test_degenerate_growth_steps_stay_finite(self, graph, m):
+        # the odd growth steps solve the secular equation of the previous
+        # restriction, whose repeated eigenvalues put the root on a pole
+        lap = gs.combinatorial_laplacian(graph)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = gs.greedy_select(lap, gs.identity_inner_product(graph.n), m, k=3)
+        assert np.unique(res.order).size == m
+        assert np.isfinite(res.cutoffs).all()
+
     def test_pair_selection_within_exhaustive_range(self):
         pc, g, lap = geometric_instance(seed=12, n=8, kernel_sigma=2.0)
         inner = gs.voronoi_areas(pc)
@@ -272,6 +284,33 @@ class TestGreedySelect:
         for size in (10, 20, 40, 60):
             oracle = explicit_cutoff(lap, inner, res.order[:size], 3)
             assert abs(res.cutoffs[size - 1] - oracle) <= 1e-7 * oracle
+
+    @pytest.mark.parametrize("seed, variant", list(GROWTH_PICKS))
+    def test_secular_growth_cutoffs_match_cutoff_frequency(self, seed, variant):
+        # odd sizes come from the previous step's eigendecomposition with one
+        # row deleted; cutoff_frequency decomposes each restriction afresh, and
+        # both sit on the roundoff floor n eps lambda_max^{2k} of B^{2k}
+        pc, g, lap = geometric_instance(seed=seed, n=100)
+        inner = all_inners(g, pc)[variant]
+        res = gs.greedy_select(lap, inner, 59, k=3)
+        floor = 100 * np.finfo(float).eps * gs.compute_basis(lap, inner).frequencies[-1] ** 6
+        for size in range(3, 60, 2):
+            ref = gs.cutoff_frequency(lap, inner, res.order[:size], k=3).omega
+            assert abs(res.cutoffs[size - 1] ** 6 - ref**6) <= floor
+
+    def test_growth_phase_decomposes_every_other_step(self, monkeypatch):
+        pc, g, lap = geometric_instance(seed=3, n=100)
+        inner = gs.voronoi_areas(pc)
+        eigh, shapes = np.linalg.eigh, []
+
+        def counting_eigh(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        gs.greedy_select(lap, inner, 90, k=3)
+        # the basis, then the restrictions at sizes 2, 4, ..., 90
+        assert shapes == [(100, 100)] + [(100 - size,) * 2 for size in range(2, 91, 2)]
 
     def test_invalid_target_rejected(self):
         inner = gs.identity_inner_product(3)
