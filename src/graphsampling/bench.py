@@ -246,7 +246,7 @@ def run_mse_experiment(
                         err = q_norm(rep.x_hat - truths[c], metric)
                         if not np.isfinite(err):
                             err = np.nan
-                    except (SingularGramError, RankDeficientError):
+                    except SingularGramError:
                         err = np.nan
                     out[ci, ni, si] = err
 

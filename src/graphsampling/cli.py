@@ -181,8 +181,10 @@ def cmd_reconstruct(args) -> int:
     else:
         selection_path = None
     samples = _read_json(Path(args.samples))
-    vertices = np.asarray(samples["vertices"])
-    values = np.asarray(samples["values"], dtype=float)
+    vertices, values = samples["vertices"], samples["values"]
+    # numpy would take booleans as vertex ids and numeric strings as values
+    if any(type(v) is not int for v in vertices) or any(type(v) not in (int, float) for v in values):
+        raise ValueError("samples must list integer vertex ids and numeric values")
     truth = None
     if args.truth:
         truth = np.asarray(_read_json(Path(args.truth))["values"], dtype=float)
@@ -308,11 +310,11 @@ def cmd_bench(args) -> int:
     return _EXIT_OK
 
 
-def _add_geometry_flags(parser, default_seed=0):
+def _add_geometry_flags(parser):
     parser.add_argument("--n", type=int, default=100, help="number of vertices")
     parser.add_argument("--side", type=float, default=10.0, help="square side length")
     parser.add_argument("--kernel-sigma", type=float, default=1.0, help="Gaussian kernel width")
-    parser.add_argument("--seed", type=int, default=default_seed, help="base random seed")
+    parser.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
 def _add_bench_flags(parser, realizations: int) -> None:
@@ -402,14 +404,13 @@ def main(argv=None) -> int:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return _EXIT_MISSING_INPUT
     except SingularGramError as exc:
-        print(f"error: singular Gram matrix (sigma_min = {exc.sigma_min:.6e})", file=sys.stderr)
+        print(f"error: singular sampled design (sigma_min = {exc.sigma_min:.6e})", file=sys.stderr)
         return _EXIT_NUMERICAL
-    # bad input: malformed JSON, out-of-range values and the library's ValueError subclasses
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except KeyError as exc:
-        print(f"error: missing key {exc} in an input file", file=sys.stderr)
+    # bad input: malformed JSON or JSON of the wrong shape, numbers beyond a double,
+    # out-of-range values and the library's ValueError subclasses
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        detail = f"an input file has the wrong JSON shape ({exc!r})" if isinstance(exc, (TypeError, KeyError)) else exc
+        print(f"error: {detail}", file=sys.stderr)
         return _EXIT_USAGE
     except GraphSamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)

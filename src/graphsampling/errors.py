@@ -46,15 +46,14 @@ class RankDeficientError(GraphSamplingError):
 
 
 class SingularGramError(GraphSamplingError):
-    """The reconstruction Gram matrix is numerically singular.
+    """The weighted sampled-mode matrix of a fit or of ``a_opt_metric`` is numerically singular.
 
-    ``sigma_min`` is the smallest singular value of the weighted sampled-mode
-    matrix, i.e. the square root of the Gram matrix's smallest eigenvalue.
+    ``sigma_min`` is the smallest singular value of that matrix.
     """
 
     def __init__(self, sigma_min: float):
         self.sigma_min = sigma_min
-        super().__init__(f"singular Gram matrix: sigma_min = {sigma_min:.3e}")
+        super().__init__(f"singular sampled design: sigma_min = {sigma_min:.3e}")
 
 
 class DegenerateCellError(GraphSamplingError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyVertexSetError, SingularGramError
+from .errors import DimensionMismatchError, EmptyVertexSetError, GraphSamplingError, SingularGramError
 from .graphs import InnerProduct, _freeze, q_norm, vertex_set
 from .spectral import SpectralBasis, bandlimit_split
 
@@ -39,48 +39,52 @@ class ReconstructionReport:
 
 
 def _paired_samples(sampled, values, n: int):
-    """Validate non-empty sample ids, and values of the same shape when given; sort both by id."""
+    """Validate non-empty sample ids, and finite values of the same shape when given; sort both by id."""
     s = np.asarray(sampled)
     y = None if values is None else np.asarray(values, dtype=float)
     if s.ndim != 1 or (y is not None and y.shape != s.shape):
         raise DimensionMismatchError("sampled vertices and values must be equally long vectors")
     if s.size == 0:
         raise EmptyVertexSetError("at least one sample is required")
+    if y is not None and not np.all(np.isfinite(y)):
+        raise ValueError("sample values must be finite")
     return vertex_set(s, n), None if y is None else y[np.argsort(s, kind="stable")]
 
 
 def _design(basis: SpectralBasis, sampled, band: int | None, values=None):
-    """Validated sampled design ``(ids, values, u_s, q_s)``, ``1 <= band <= |S|`` (``None``: ``|S|``).
+    """Validated sampled design ``(ids, values, root, a)``, ``1 <= band <= |S|`` (``None``: ``|S|``).
 
-    ``u_s`` holds the first ``band`` modes at the sorted ids and ``q_s`` the
-    weights there: ``sqrt(q_s) * u_s`` is the weighted design matrix.
+    ``root`` holds the square roots of the weights at the sorted ids and
+    ``a = root * U_S[:, :band]`` is the weighted design matrix.
     """
     s, y = _paired_samples(sampled, values, basis.n)
     band = s.size if band is None else int(band)
     if not 1 <= band <= s.size:
         raise ValueError(f"band must lie in [1, {s.size}], got {band}")
-    return s, y, basis.modes[s][:, :band], basis.inner.entries[s]
+    root = np.sqrt(basis.inner.entries[s])
+    return s, y, root, root[:, None] * basis.modes[s][:, :band]
 
 
-def _gram(u_s: np.ndarray, q_s: np.ndarray) -> np.ndarray:
-    """Gram matrix ``U_S^T Q_S U_S`` of the sampled design."""
-    return u_s.T @ (q_s[:, None] * u_s)
+def _svd(a: np.ndarray, error: type[GraphSamplingError], compute_uv: bool = False):
+    """Thin SVD of the weighted design ``a``, or ``error(sigma_min)`` if ``sigma_min <= |S| eps sigma_max``.
+
+    That one singularity rule is the default tolerance of ``numpy.linalg.matrix_rank``.
+    """
+    out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    sigma = out[1] if compute_uv else out
+    if not sigma[-1] > a.shape[0] * np.finfo(float).eps * sigma[0]:
+        raise error(float(sigma[-1]))
+    return out
 
 
-def _sigma_min(u_s: np.ndarray, q_s: np.ndarray) -> float:
-    """Smallest singular value of the weighted design ``Q_S^{1/2} U_S``."""
-    return float(np.linalg.svd(np.sqrt(q_s)[:, None] * u_s, compute_uv=False)[-1])
+def _fit(basis: SpectralBasis, a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares synthesis ``U_band a^+ rhs`` of weighted samples, and ``sigma_min(a)``.
 
-
-def _fit(basis: SpectralBasis, u_s: np.ndarray, q_s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Synthesis ``U_band G^{-1} rhs`` with the design's Gram ``G``; ``SingularGramError`` unless ``G`` is PD."""
-    gram = _gram(u_s, q_s)
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(gram)
-        raise SingularGramError(float(np.sqrt(max(w[0], 0.0)))) from None
-    return basis.modes[:, : u_s.shape[1]] @ np.linalg.solve(gram, rhs)
+    Solved by the thin SVD of ``a``, which does not square its condition number as a Gram matrix would.
+    """
+    w, sigma, vt = _svd(a, SingularGramError, compute_uv=True)
+    coeffs = vt.T @ ((w / sigma).T @ rhs)
+    return basis.modes[:, : a.shape[1]] @ coeffs, float(sigma[-1])
 
 
 def consistent_reconstruct(
@@ -94,8 +98,8 @@ def consistent_reconstruct(
 
     Fits the first ``band`` modes to the samples in the inner product of the
     sampled subspace and synthesizes the full signal. With
-    ``band == len(sampled)`` and an invertible Gram matrix the result
-    interpolates the samples exactly.
+    ``band == len(sampled)`` and a regular design the result interpolates
+    the samples exactly.
 
     Parameters
     ----------
@@ -111,10 +115,10 @@ def consistent_reconstruct(
     Raises
     ------
     SingularGramError
-        If the sampled-mode Gram matrix is not numerically positive definite.
+        If the weighted design is singular: ``sigma_min <= |S| eps sigma_max``.
     """
-    s, y, u_s, q_s = _design(basis, sampled, band, values)
-    x_hat = _fit(basis, u_s, q_s, u_s.T @ (q_s * y))
+    s, y, root, a = _design(basis, sampled, band, values)
+    x_hat, _ = _fit(basis, a, root * y)
     residual = float(np.max(np.abs(x_hat[s] - y)))
     q_err = q_norm(x_hat - np.asarray(truth, dtype=float), basis.inner) if truth is not None else None
     return ReconstructionReport(x_hat, 0, residual, q_error=q_err)
@@ -125,10 +129,12 @@ def error_covariance(basis: SpectralBasis, sampled, band: int) -> np.ndarray:
 
     The trace of this matrix is the mean-squared-error design objective and
     its largest eigenvalue is the squared inverse of the smallest weighted
-    design singular value.
+    design singular value. With ``F`` the fit of the identity, it is
+    ``F F^T Q``.
     """
-    _, _, u_s, q_s = _design(basis, sampled, band)
-    return _fit(basis, u_s, q_s, basis.modes[:, : u_s.shape[1]].T) * basis.inner.entries[None, :]
+    _, _, _, a = _design(basis, sampled, band)
+    f, _ = _fit(basis, a, np.eye(a.shape[0]))
+    return (f @ f.T) * basis.inner.entries[None, :]
 
 
 def verify_error_bound(basis: SpectralBasis, sampled, band: int, x):
@@ -137,17 +143,16 @@ def verify_error_bound(basis: SpectralBasis, sampled, band: int, x):
     Reconstructs ``x`` from its own noiseless samples and returns
     ``(error, bound)``: the weighted reconstruction error, and the energy of
     the out-of-band part of ``x`` amplified by the inverse of the design's
-    smallest singular value. Up to roundoff, ``error <= bound``.
+    smallest singular value, both from one SVD. Up to roundoff,
+    ``error <= bound``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise DimensionMismatchError(f"signal must have shape ({basis.n},)")
-    s, _, u_s, q_s = _design(basis, sampled, band)
-    lhs = q_norm(x - _fit(basis, u_s, q_s, u_s.T @ (q_s * x[s])), basis.inner)
-    sigma = _sigma_min(u_s, q_s)
-    _, high = bandlimit_split(basis, x, u_s.shape[1])
-    rhs = q_norm(high, basis.inner) / sigma if sigma > 0.0 else math.inf
-    return lhs, rhs
+    s, _, root, a = _design(basis, sampled, band)
+    fit, sigma = _fit(basis, a, root * x[s])
+    _, high = bandlimit_split(basis, x, a.shape[1])
+    return q_norm(x - fit, basis.inner), q_norm(high, basis.inner) / sigma
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from .errors import (
     ZeroSignalError,
 )
 from .graphs import InnerProduct, _freeze, complement, q_norm, vertex_set
-from .reconstruction import _design, _gram, _sigma_min
+from .reconstruction import _design, _svd
 from .spectral import SpectralBasis, compute_basis
 
 DEFAULT_PROXY_ORDER = 3
@@ -289,26 +289,19 @@ def e_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
     Raises
     ------
     RankDeficientError
-        If the value falls below 1e-12, i.e. the sampling set cannot see
-        the band.
+        If the sampling set cannot see the band: ``sigma_min <= |S| eps sigma_max``.
     """
-    _, _, u_s, q_s = _design(basis, sampled, band)
-    sigma = _sigma_min(u_s, q_s)
-    if sigma < 1e-12:
-        raise RankDeficientError(sigma)
-    return sigma
+    a = _design(basis, sampled, band)[3]
+    return float(_svd(a, RankDeficientError)[-1])
 
 
 def a_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
-    """Trace of the inverse Gram matrix: the mean-squared-error design objective.
+    """Trace of the inverse Gram matrix, ``sum sigma^-2``: the mean-squared-error design objective.
 
     Raises
     ------
     SingularGramError
-        If the Gram matrix of the sampled modes is numerically singular.
+        If the design is singular: ``sigma_min <= |S| eps sigma_max``.
     """
-    _, _, u_s, q_s = _design(basis, sampled, band)
-    w = np.linalg.eigvalsh(_gram(u_s, q_s))
-    if w[0] <= 1e-13 * max(float(w[-1]), 1e-300):
-        raise SingularGramError(float(np.sqrt(max(w[0], 0.0))))
-    return float(np.sum(1.0 / w))
+    a = _design(basis, sampled, band)[3]
+    return float(np.sum(_svd(a, SingularGramError) ** -2.0))

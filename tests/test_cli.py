@@ -1,12 +1,17 @@
 """End-to-end command-line workflows on temporary directories."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphsampling as gs
 from graphsampling.cli import build_parser, main
+from graphsampling.errors import SingularGramError
 
 
 def read_json(path):
@@ -309,6 +314,10 @@ class TestBench:
         (["reconstruct", "--q", "degree", "--band", "2"], '{"values": [1.0, 2.0]}'),
         (["reconstruct", "--q", "degree", "--band", "2"], "not json"),
         (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1.5], "values": [1.0, 2.0]}'),
+        (["reconstruct", "--q", "degree", "--band", "2"], "[1, 2]"),
+        (["reconstruct", "--q", "degree", "--band", "2"], '"x"'),
+        (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1], "values": {"a": 1}}'),
+        (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1], "values": [NaN, 1.0]}'),
         (["bench", "bound", "--n", "12", "--fracs", "0.5:0.1:0.1"], None),
         (["bench", "mse", "--n", "12", "--variants", "foo"], None),
         (["bench", "bound", "--n", "12", "--threads", "abc"], None),
@@ -317,7 +326,8 @@ class TestBench:
     ids=[
         "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
         "zero-threads", "repeated-variant",
-        "no-vertices", "not-json", "fractional-vertex",
+        "no-vertices", "not-json", "fractional-vertex", "samples-list", "samples-string", "values-dict",
+        "nan-value",
         "reversed-fracs", "unknown-variant", "non-integer-threads", "non-integer-target",
     ],
 )
@@ -336,3 +346,96 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[0] == "bench":
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("graph.json", "[]", ["select", "--m", "4"]),
+        ("graph.json", '{"n": 3, "edges": 5}', ["select", "--m", "4"]),
+        ("q_degree.json", "[]", ["select", "--m", "4"]),
+        ("selection_degree.json", '{"cutoffs": 5}', ["reconstruct", "--method", "pocs"]),
+    ],
+    ids=["graph-list", "graph-edges-number", "inner-list", "cutoffs-number"],
+)
+def test_malformed_input_file_exits_two(tmp_path, capsys, name, text, argv):
+    gen(tmp_path, "--q", "degree")
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    if argv[0] == "reconstruct":
+        (tmp_path / "samples.json").write_text('{"vertices": [0, 1], "values": [1.0, 2.0]}', encoding="utf-8")
+        argv = argv + ["--samples", str(tmp_path / "samples.json")]
+    capsys.readouterr()
+    assert main(argv + ["--q", "degree", "--dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(-1e9, 1e9)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400])
+    | st.text(max_size=4)
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def paired_samples(draw):
+    """Samples documents at and near the valid ones: ids around [0, 10) and as many values."""
+    ids = st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True) | st.lists(st.integers(-1, 10), max_size=10)
+    vertices = draw(ids)
+    count = {"min_size": len(vertices), "max_size": len(vertices)}
+    values = draw(st.lists(st.floats(-1e6, 1e6), **count) | st.lists(st.floats(-1e6, 1e6) | JSON_SCALARS, **count))
+    return {"vertices": vertices, "values": values}
+
+
+def well_formed(doc, n):
+    """A samples document the closed form must accept: distinct ids in [0, n), as many finite numbers."""
+    if not isinstance(doc, dict) or not {"vertices", "values"} <= doc.keys():
+        return False
+    vertices, values = doc["vertices"], doc["values"]
+    return (
+        isinstance(vertices, list)
+        and isinstance(values, list)
+        and all(type(v) is int and 0 <= v < n for v in vertices)
+        # a NaN fails the comparison, an int beyond a double exceeds the bound
+        and all(type(v) in (int, float) and abs(v) < 1e300 for v in values)
+        and 0 < len(vertices) == len(values) == len(set(vertices))
+    )
+
+
+@pytest.fixture(scope="module")
+def small_instance(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("small")
+    assert main(["gen", "--n", "10", "--kernel-sigma", "2.0", "--seed", "3", "--out", str(directory)]) == 0
+    return directory
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=JSON_DOCS | st.fixed_dictionaries({"vertices": JSON_DOCS, "values": JSON_DOCS}) | paired_samples())
+def test_samples_file_never_ends_in_a_traceback(small_instance, doc):
+    path, out = small_instance / "samples.json", small_instance / "reconstruction.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["reconstruct", "--dir", str(small_instance), "--samples", str(path), "--out", str(out)])
+    if not well_formed(doc, 10):
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    elif code == 3:
+        # the one exit a well-formed document may take: a design that cannot see the band
+        lap = gs.combinatorial_laplacian(gs.graph_from_json(read_json(small_instance / "graph.json")))
+        entries = read_json(small_instance / "q_voronoi.json")["entries"]
+        basis = gs.compute_basis(lap, gs.InnerProduct("voronoi", np.asarray(entries)))
+        with pytest.raises(SingularGramError):
+            gs.a_opt_metric(basis, doc["vertices"], len(doc["vertices"]))
+    else:
+        assert code == 0
+        assert np.all(np.isfinite(read_json(out)["x_hat"]))

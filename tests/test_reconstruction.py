@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsampling as gs
-from graphsampling.errors import SingularGramError
+from graphsampling.errors import RankDeficientError, SingularGramError
 from graphsampling.reconstruction import _cheb_coeffs, _cheb_table
 from helpers import all_inners, cluster_cloud, geometric_instance
 
@@ -126,6 +126,13 @@ class TestConsistentReconstruct:
             gs.consistent_reconstruct(basis, [0, 1], [1.0, 2.0], band=2)
         assert err.value.sigma_min <= 1e-10
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_value_rejected(self, bad):
+        pc, g, lap = geometric_instance(seed=3, n=10, kernel_sigma=2.0)
+        basis = gs.compute_basis(lap, gs.identity_inner_product(10))
+        with pytest.raises(ValueError, match="finite"):
+            gs.consistent_reconstruct(basis, [1, 4, 7], [0.5, bad, 1.0])
+
     def test_q_error_against_truth(self, rng):
         pc, g, lap = geometric_instance(seed=4, n=10, kernel_sigma=2.0)
         inner = gs.identity_inner_product(10)
@@ -174,6 +181,54 @@ class TestErrorCovariance:
         assert np.abs(eigs.imag).max() <= 1e-10
         sigma = gs.e_opt_metric(basis, sampled, 4)
         assert eigs.real.max() * sigma**2 == pytest.approx(1.0, abs=1e-8)
+
+
+def delta_basis(delta):
+    """Orthogonal 3-vertex basis whose samples [0, 1] see band 2 through rows diag(1, delta)."""
+    c = np.sqrt(1.0 - delta * delta)
+    modes = np.array([[1.0, 0.0, 0.0], [0.0, delta, c], [0.0, c, -delta]])
+    return gs.SpectralBasis(modes, np.array([0.0, 1.0, 2.0]), gs.identity_inner_product(3))
+
+
+class TestOneSingularityRule:
+    """The design metrics and the fits read one SVD of one design and reject it by one rule."""
+
+    def test_near_singular_design_is_regular_for_all(self):
+        basis = delta_basis(1e-7)
+        assert gs.e_opt_metric(basis, [0, 1], 2) == pytest.approx(1e-7, rel=1e-9)
+        assert gs.a_opt_metric(basis, [0, 1], 2) == pytest.approx(1.0 + 1e14, rel=1e-9)
+        report = gs.consistent_reconstruct(basis, [0, 1], [1.0, 1.0], band=2)
+        assert np.abs(report.x_hat).max() == pytest.approx(1e7, rel=1e-6)
+        assert report.residual_s <= 1e-8
+
+    def test_singular_design_raises_for_all_with_one_sigma_min(self):
+        basis = delta_basis(1e-17)
+        payloads = []
+        for call, error in [
+            (lambda: gs.e_opt_metric(basis, [0, 1], 2), RankDeficientError),
+            (lambda: gs.a_opt_metric(basis, [0, 1], 2), SingularGramError),
+            (lambda: gs.consistent_reconstruct(basis, [0, 1], [1.0, 1.0], band=2), SingularGramError),
+            (lambda: gs.error_covariance(basis, [0, 1], 2), SingularGramError),
+            (lambda: gs.verify_error_bound(basis, [0, 1], 2, np.ones(3)), SingularGramError),
+        ]:
+            with pytest.raises(error) as info:
+                call()
+            payloads.append(info.value.sigma_min)
+        assert payloads == [pytest.approx(1e-17, rel=1e-6)] * 5
+        assert len(set(payloads)) == 1
+
+    @pytest.mark.parametrize("variant", ["identity", "degree", "voronoi"])
+    def test_covariance_matches_both_metrics(self, variant):
+        pc, g, lap = geometric_instance(seed=23, n=40, kernel_sigma=2.0)
+        inner = all_inners(g, pc)[variant]
+        basis = gs.compute_basis(lap, inner)
+        sampled = gs.greedy_select(lap, inner, 12, k=3).head(12)
+        cov = gs.error_covariance(basis, sampled, 8)
+        root = np.sqrt(inner.entries)
+        # Q^{1/2} cov Q^{-1/2} is symmetric with the same eigenvalues
+        top = np.linalg.eigvalsh(root[:, None] * cov / root[None, :])[-1]
+        assert np.trace(cov) == pytest.approx(gs.a_opt_metric(basis, sampled, 8), rel=1e-9)
+        assert top == pytest.approx(gs.e_opt_metric(basis, sampled, 8) ** -2, rel=1e-9)
 
 
 class TestErrorBound:

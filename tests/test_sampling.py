@@ -397,9 +397,9 @@ class TestAOptMetric:
             gs.a_opt_metric(basis, [1, 4], 3)
 
     def test_singular_gram_reports_design_singular_value(self):
-        # sampled rows diag(1, delta) of an orthogonal mode matrix: the Gram
-        # eigenvalue delta^2 is below the cutoff, the payload must be delta
-        delta = 1e-7
+        # sampled rows diag(1, delta) of an orthogonal mode matrix: delta is
+        # below the rule |S| eps sigma_max, the payload must be delta
+        delta = 1e-17
         c = np.sqrt(1.0 - delta * delta)
         modes = np.array([[1.0, 0.0, 0.0], [0.0, delta, c], [0.0, c, -delta]])
         basis = gs.SpectralBasis(modes, np.array([0.0, 1.0, 2.0]), gs.identity_inner_product(3))
