@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RankDeficientError, SingularGramError
+from .errors import RankDeficientError
 from .geometry import GeoConfig, add_noise, build_instance, sinewave_signal, voronoi_areas
 from .graphs import (
     VARIANTS,
@@ -246,7 +246,7 @@ def run_mse_experiment(
                         err = q_norm(rep.x_hat - truths[c], metric)
                         if not np.isfinite(err):
                             err = np.nan
-                    except SingularGramError:
+                    except RankDeficientError:
                         err = np.nan
                     out[ci, ni, si] = err
 

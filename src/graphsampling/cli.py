@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -19,7 +18,7 @@ from .bench import (
     run_bound_experiment,
     run_mse_experiment,
 )
-from .errors import GraphSamplingError, SingularGramError
+from .errors import GraphSamplingError, NotFiniteError
 from .geometry import GeoConfig, build_instance
 from .graphs import VARIANTS, InnerProduct, combinatorial_laplacian, graph_from_json, graph_to_json
 from .reconstruction import PocsParams, consistent_reconstruct, pocs_reconstruct
@@ -35,7 +34,13 @@ _EXIT_BENCH_FAILED = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser whose rejections, subcommands' included, print one ``error:`` line and exit 2."""
+    """Parser that takes flags by their full names only and whose rejections print one ``error:`` line and exit 2.
+
+    Subcommand parsers are built from the same class, so both hold for them too.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(_EXIT_USAGE, f"error: {message}\n")
@@ -190,20 +195,26 @@ def cmd_reconstruct(args) -> int:
         truth = np.asarray(_read_json(Path(args.truth))["values"], dtype=float)
 
     lap = combinatorial_laplacian(g)
-    if args.method == "closed-form":
-        basis = compute_basis(lap, inner)
-        report = consistent_reconstruct(basis, vertices, values, band=args.band, truth=truth)
-    else:
-        lam_max = estimate_lambda_max(lap, inner)
-        params = PocsParams(
-            omega=omega,
-            lambda_max=lam_max,
-            alpha=args.alpha,
-            cheb_order=args.cheb_order,
-            max_iters=args.max_iters,
-            rel_tol=args.rel_tol,
-        )
-        report = pocs_reconstruct(lap, inner, vertices, values, params, truth=truth)
+    # floating-point warnings stay silent: a non-finite result is reported below as one error line
+    with np.errstate(all="ignore"):
+        if args.method == "closed-form":
+            basis = compute_basis(lap, inner)
+            report = consistent_reconstruct(basis, vertices, values, band=args.band, truth=truth)
+        else:
+            lam_max = estimate_lambda_max(lap, inner)
+            params = PocsParams(
+                omega=omega,
+                lambda_max=lam_max,
+                alpha=args.alpha,
+                cheb_order=args.cheb_order,
+                max_iters=args.max_iters,
+                rel_tol=args.rel_tol,
+            )
+            report = pocs_reconstruct(lap, inner, vertices, values, params, truth=truth)
+    # json.dumps would write NaN and Infinity, which are not JSON
+    scalars = [v for v in (report.residual_s, report.q_error, report.last_rel_change) if v is not None]
+    if not (np.isfinite(report.x_hat).all() and np.isfinite(scalars).all()):
+        raise NotFiniteError(f"the {args.method} reconstruction has non-finite values")
 
     out = Path(args.out) if args.out else directory / "reconstruction.json"
     _write_json(
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--selection", default=None, help="selection file (default selection_<q>.json)")
     rec.add_argument("--samples", required=True, help="JSON file with sampled vertices and values")
     rec.add_argument("--method", choices=RECON_METHODS, default="closed-form")
-    rec.add_argument("--band", "--r", dest="band", type=int, default=None, help="modes to fit (closed form)")
+    rec.add_argument("--band", type=int, default=None, help="modes to fit (closed form)")
     rec.add_argument("--omega", type=float, default=None, help="low-pass cutoff (default: final selection cutoff)")
     rec.add_argument("--alpha", type=float, default=None, help="low-pass sharpness")
     rec.add_argument("--cheb-order", type=int, default=60, help="PoCS filter order: operator products per application")
@@ -390,22 +401,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    # a set GSP_SEED wins over --seed, so wrappers can pin reproducibility
-    if "GSP_SEED" in os.environ and hasattr(args, "seed"):
-        try:
-            args.seed = int(os.environ["GSP_SEED"])
-        except ValueError:
-            print("error: GSP_SEED must be an integer", file=sys.stderr)
-            return _EXIT_USAGE
-
     try:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return _EXIT_MISSING_INPUT
-    except SingularGramError as exc:
-        print(f"error: singular sampled design (sigma_min = {exc.sigma_min:.6e})", file=sys.stderr)
-        return _EXIT_NUMERICAL
     # bad input: malformed JSON or JSON of the wrong shape, numbers beyond a double,
     # out-of-range values and the library's ValueError subclasses
     except (ValueError, TypeError, KeyError, OverflowError) as exc:

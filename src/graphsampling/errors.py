@@ -10,11 +10,7 @@ class DimensionMismatchError(GraphSamplingError, ValueError):
 
 
 class EmptyVertexSetError(GraphSamplingError, ValueError):
-    """An operation received an empty vertex set where one is required."""
-
-
-class EmptyComplementError(GraphSamplingError, ValueError):
-    """The complement of the sampling set is empty, so no cutoff exists."""
+    """A required vertex set is empty: no samples, or no unsampled vertex to take a cutoff on."""
 
 
 class ZeroDegreeError(GraphSamplingError):
@@ -30,7 +26,7 @@ class ZeroSignalError(GraphSamplingError):
 
 
 class NotFiniteError(GraphSamplingError):
-    """An eigendecomposition failed or produced non-finite values."""
+    """A computation produced non-finite values, or an eigensolver failed to converge."""
 
 
 class InvalidTargetError(GraphSamplingError, ValueError):
@@ -38,22 +34,19 @@ class InvalidTargetError(GraphSamplingError, ValueError):
 
 
 class RankDeficientError(GraphSamplingError):
-    """The sampling set cannot resolve the requested frequency band."""
+    """The weighted design ``Q_S^{1/2} U_S[:, :band]`` is singular: ``sigma_min <= |S| eps sigma_max``.
+
+    The sampling set then cannot resolve the requested frequency band.
+    ``sigma_min`` is the design's smallest singular value.
+    """
 
     def __init__(self, sigma_min: float):
         self.sigma_min = sigma_min
         super().__init__(f"rank-deficient design: sigma_min = {sigma_min:.3e}")
 
 
-class SingularGramError(GraphSamplingError):
-    """The weighted sampled-mode matrix of a fit or of ``a_opt_metric`` is numerically singular.
-
-    ``sigma_min`` is the smallest singular value of that matrix.
-    """
-
-    def __init__(self, sigma_min: float):
-        self.sigma_min = sigma_min
-        super().__init__(f"singular sampled design: sigma_min = {sigma_min:.3e}")
+# the former name, an alias only because perfbench/workloads.py and acceptance gate 05 import it
+SingularGramError = RankDeficientError
 
 
 class DegenerateCellError(GraphSamplingError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyVertexSetError, GraphSamplingError, SingularGramError
+from .errors import DimensionMismatchError, EmptyVertexSetError, RankDeficientError
 from .graphs import InnerProduct, _freeze, q_norm, vertex_set
 from .spectral import SpectralBasis, bandlimit_split
 
@@ -20,9 +20,8 @@ class ReconstructionReport:
     ``iters`` is 0 for the closed form and, for PoCS, the number of
     low-pass filter applications. ``residual_s`` is the largest absolute
     deviation between the reconstruction and the given samples. ``q_error``
-    is filled only when a ground-truth signal was supplied. ``history`` holds
-    the start iterate and every conjugate-gradient iterate of PoCS, one per
-    row of a read-only array, when recording was requested.
+    is filled only when a ground-truth signal was supplied, and
+    ``last_rel_change`` only by PoCS.
     """
 
     x_hat: np.ndarray
@@ -30,12 +29,9 @@ class ReconstructionReport:
     residual_s: float
     q_error: float | None = None
     last_rel_change: float | None = None
-    history: np.ndarray | None = None
 
     def __post_init__(self):
         _freeze(self, "x_hat")
-        if self.history is not None:
-            _freeze(self, "history")
 
 
 def _paired_samples(sampled, values, n: int):
@@ -65,15 +61,15 @@ def _design(basis: SpectralBasis, sampled, band: int | None, values=None):
     return s, y, root, root[:, None] * basis.modes[s][:, :band]
 
 
-def _svd(a: np.ndarray, error: type[GraphSamplingError], compute_uv: bool = False):
-    """Thin SVD of the weighted design ``a``, or ``error(sigma_min)`` if ``sigma_min <= |S| eps sigma_max``.
+def _svd(a: np.ndarray, compute_uv: bool = False):
+    """Thin SVD of the weighted design ``a``, or ``RankDeficientError`` if ``sigma_min <= |S| eps sigma_max``.
 
     That one singularity rule is the default tolerance of ``numpy.linalg.matrix_rank``.
     """
     out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     sigma = out[1] if compute_uv else out
     if not sigma[-1] > a.shape[0] * np.finfo(float).eps * sigma[0]:
-        raise error(float(sigma[-1]))
+        raise RankDeficientError(float(sigma[-1]))
     return out
 
 
@@ -82,7 +78,7 @@ def _fit(basis: SpectralBasis, a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarr
 
     Solved by the thin SVD of ``a``, which does not square its condition number as a Gram matrix would.
     """
-    w, sigma, vt = _svd(a, SingularGramError, compute_uv=True)
+    w, sigma, vt = _svd(a, compute_uv=True)
     coeffs = vt.T @ ((w / sigma).T @ rhs)
     return basis.modes[:, : a.shape[1]] @ coeffs, float(sigma[-1])
 
@@ -114,7 +110,7 @@ def consistent_reconstruct(
 
     Raises
     ------
-    SingularGramError
+    RankDeficientError
         If the weighted design is singular: ``sigma_min <= |S| eps sigma_max``.
     """
     s, y, root, a = _design(basis, sampled, band, values)
@@ -331,9 +327,7 @@ def pocs_reconstruct(
     sampled,
     values,
     params: PocsParams,
-    x0=None,
     truth=None,
-    record_history: bool = False,
 ) -> ReconstructionReport:
     """Reconstruct by solving the fixed point of low-pass filtering and sample re-imposition.
 
@@ -342,8 +336,8 @@ def pocs_reconstruct(
     sampled set ``S``. Its limit is the fixed point ``(I - H_UU) x_U = H_US y``
     on the unsampled set ``U``. This solves that system by conjugate gradients
     (Hestenes & Stiefel, 1952) in the ``Q_U`` inner product, in which
-    ``I - H_UU`` is self-adjoint, starting from ``x0`` (or zero) with the
-    samples imposed. The CG residual ``(H x)_U - x_U`` is the change one more
+    ``I - H_UU`` is self-adjoint, starting from zero with the samples
+    imposed. The CG residual ``(H x)_U - x_U`` is the change one more
     PoCS sweep would make; the solve stops once its weighted norm is at most
     ``rel_tol`` times the weighted norm of the iterate, or after
     ``max_iters`` filter applications. The report's ``iters`` counts filter
@@ -360,18 +354,12 @@ def pocs_reconstruct(
     s, y = _paired_samples(sampled, values, inner.n)
     lowpass = _cheb_kernel(variation, inner, _cheb_coeffs(params), params.lambda_max)
 
-    if x0 is None:
-        x = np.zeros(inner.n)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (inner.n,):
-            raise DimensionMismatchError(f"x0 must have shape ({inner.n},)")
+    x = np.zeros(inner.n)
     x[s] = y
     free = np.ones(inner.n, dtype=bool)
     free[s] = False
     q_u = inner.entries[free]
 
-    history = [x.copy()] if record_history else None
     r = lowpass(x)[free] - x[free]
     iters = 1
     rr = float(np.dot(q_u * r, r))
@@ -394,17 +382,8 @@ def pocs_reconstruct(
         rr_next = float(np.dot(q_u * r, r))
         p = r + (rr_next / rr) * p
         rr = rr_next
-        if history is not None:
-            history.append(x.copy())
     rel_change = delta / ref if ref > 0.0 else (0.0 if delta == 0.0 else math.inf)
 
     residual = float(np.max(np.abs(x[s] - y)))
     q_err = q_norm(x - np.asarray(truth, dtype=float), inner) if truth is not None else None
-    return ReconstructionReport(
-        x,
-        iters,
-        residual,
-        q_error=q_err,
-        last_rel_change=rel_change,
-        history=history,
-    )
+    return ReconstructionReport(x, iters, residual, q_error=q_err, last_rel_change=rel_change)

@@ -6,13 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyComplementError,
-    InvalidTargetError,
-    RankDeficientError,
-    SingularGramError,
-    ZeroSignalError,
-)
+from .errors import EmptyVertexSetError, InvalidTargetError, ZeroSignalError
 from .graphs import InnerProduct, _freeze, complement, q_norm, vertex_set
 from .reconstruction import _design, _svd
 from .spectral import SpectralBasis, compute_basis
@@ -62,7 +56,7 @@ def proxy_operator(variation, inner: InnerProduct, keep, k: int = DEFAULT_PROXY_
     k = _check_order(k)
     keep = vertex_set(keep, inner.n)
     if keep.size == 0:
-        raise EmptyComplementError("the kept vertex set is empty")
+        raise EmptyVertexSetError("the kept vertex set is empty")
     q = inner.entries
     z = np.asarray(variation, dtype=float) / q[:, None]
     scaled = np.sqrt(q)[:, None] * np.linalg.matrix_power(z, k)
@@ -101,7 +95,7 @@ def cutoff_frequency(
     k = _check_order(k)
     keep = complement(sampled, inner.n)
     if keep.size == 0:
-        raise EmptyComplementError("every vertex is sampled; no cutoff exists")
+        raise EmptyVertexSetError("every vertex is sampled; no cutoff exists")
     v, d = _eigenpairs(compute_basis(variation, inner), k)
     return _restricted_cutoff((v * d) @ v.T, inner, keep, k)
 
@@ -292,16 +286,16 @@ def e_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
         If the sampling set cannot see the band: ``sigma_min <= |S| eps sigma_max``.
     """
     a = _design(basis, sampled, band)[3]
-    return float(_svd(a, RankDeficientError)[-1])
+    return float(_svd(a)[-1])
 
 
 def a_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
-    """Trace of the inverse Gram matrix, ``sum sigma^-2``: the mean-squared-error design objective.
+    """Mean-squared-error design objective ``sum sigma^-2`` over the weighted design's singular values.
 
     Raises
     ------
-    SingularGramError
+    RankDeficientError
         If the design is singular: ``sigma_min <= |S| eps sigma_max``.
     """
     a = _design(basis, sampled, band)[3]
-    return float(np.sum(_svd(a, SingularGramError) ** -2.0))
+    return float(np.sum(_svd(a) ** -2.0))

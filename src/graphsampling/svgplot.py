@@ -8,6 +8,8 @@ from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 70.0
 _MARGIN_RIGHT = 150.0
 _MARGIN_TOP = 40.0
@@ -40,8 +42,6 @@ def line_chart(
     x_label: str = "",
     y_label: str = "",
     log_y: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render labelled polylines as a standalone SVG document.
 
@@ -52,13 +52,13 @@ def line_chart(
     prepared = [(label, _finite_points(xs, ys, log_y)) for label, xs, ys in series]
     all_pts = [p for _, pts in prepared for p in pts if p is not None]
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" font-size="15" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="22" font-size="15" text-anchor="middle" '
         f'font-family="sans-serif">{escape(title)}</text>',
     ]
 
@@ -140,12 +140,12 @@ def line_chart(
             )
     else:
         out.append(
-            f'<text x="{width / 2:.1f}" y="{height / 2:.1f}" font-size="13" '
+            f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT / 2:.1f}" font-size="13" '
             f'text-anchor="middle" font-family="sans-serif">no finite data</text>'
         )
 
     out.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 12:.1f}" font-size="13" '
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12:.1f}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif">{escape(x_label)}</text>'
     )
     out.append(

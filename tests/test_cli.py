@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import graphsampling as gs
 from graphsampling.cli import build_parser, main
-from graphsampling.errors import SingularGramError
+from graphsampling.errors import RankDeficientError
 
 
 def read_json(path):
@@ -66,13 +66,6 @@ class TestGen:
         pc, _, _ = gs.build_instance(gs.GeoConfig(n=n, seed=seed), np.random.default_rng(seed))
         points = read_json(tmp_path / "points.json")
         assert points == {"side": pc.side, "positions": pc.positions.tolist()}
-
-    def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GSP_SEED", "7")
-        main(["gen", "--n", "24", "--kernel-sigma", "2.0", "--seed", "1", "--out", str(tmp_path / "env")])
-        monkeypatch.delenv("GSP_SEED")
-        gen(tmp_path / "flag")
-        assert (tmp_path / "env" / "graph.json").read_bytes() == (tmp_path / "flag" / "graph.json").read_bytes()
 
 
 class TestSelect:
@@ -133,7 +126,7 @@ class TestReconstruct:
             "reconstruct", "--dir", str(tmp_path), "--q", "degree",
             "--samples", str(tmp_path / "samples.json"),
             "--truth", str(tmp_path / "truth.json"),
-            "--method", "closed-form", "--r", "6",
+            "--method", "closed-form", "--band", "6",
         ])
         assert code == 0
         report = read_json(tmp_path / "reconstruction.json")
@@ -205,6 +198,20 @@ class TestReconstruct:
         ])
         assert code == 3
         assert "sigma_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method", [["--method", "closed-form"], ["--method", "pocs", "--omega", "0.5"]], ids=["closed-form", "pocs"]
+    )
+    def test_non_finite_result_exits_three_and_writes_nothing(self, tmp_path, capsys, method):
+        # finite samples near the double maximum overflow both solvers
+        assert main(["gen", "--n", "30", "--out", str(tmp_path)]) == 0
+        samples = tmp_path / "samples.json"
+        samples.write_text('{"vertices": [0, 1, 2], "values": [1e308, -1e308, 1e308]}', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["reconstruct", "--dir", str(tmp_path), "--samples", str(samples), *method]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "reconstruction.json").exists()
 
 
 class TestBench:
@@ -300,6 +307,10 @@ class TestBench:
         assert (tmp_path / "bound.csv").exists()
 
 
+# a samples file the closed form accepts at band 6, so only a flag can make its command fail
+SIX_SAMPLES = '{"vertices": [0, 1, 2, 3, 4, 5], "values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}'
+
+
 @pytest.mark.parametrize(
     "argv, samples",
     [
@@ -322,6 +333,9 @@ class TestBench:
         (["bench", "mse", "--n", "12", "--variants", "foo"], None),
         (["bench", "bound", "--n", "12", "--threads", "abc"], None),
         (["select", "--q", "degree", "--m", "x"], None),
+        (["gen", "--n", "5", "--kern", "2"], None),
+        (["reconstruct", "--q", "degree", "--r", "6"], SIX_SAMPLES),
+        (["reconstruct", "--q", "degree", "--max", "7"], SIX_SAMPLES),
     ],
     ids=[
         "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
@@ -329,6 +343,7 @@ class TestBench:
         "no-vertices", "not-json", "fractional-vertex", "samples-list", "samples-string", "values-dict",
         "nan-value",
         "reversed-fracs", "unknown-variant", "non-integer-threads", "non-integer-target",
+        "kernel-sigma-prefix", "band-alias", "max-iters-prefix",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples):
@@ -434,7 +449,7 @@ def test_samples_file_never_ends_in_a_traceback(small_instance, doc):
         lap = gs.combinatorial_laplacian(gs.graph_from_json(read_json(small_instance / "graph.json")))
         entries = read_json(small_instance / "q_voronoi.json")["entries"]
         basis = gs.compute_basis(lap, gs.InnerProduct("voronoi", np.asarray(entries)))
-        with pytest.raises(SingularGramError):
+        with pytest.raises(RankDeficientError):
             gs.a_opt_metric(basis, doc["vertices"], len(doc["vertices"]))
     else:
         assert code == 0

@@ -51,10 +51,6 @@ READ_ONLY_FIELDS = {
     "SamplingResult.order": _SELECTION,
     "SamplingResult.cutoffs": _SELECTION,
     "ReconstructionReport.x_hat": (gs.ReconstructionReport, {"x_hat": [1.0, 2.0], "iters": 0, "residual_s": 0.0}),
-    "ReconstructionReport.history": (
-        gs.ReconstructionReport,
-        {"x_hat": [1.0, 2.0], "iters": 1, "residual_s": 0.0, "history": [[0.0, 2.0], [1.0, 2.0]]},
-    ),
     "ChebyshevSeries.coeffs": (gs.ChebyshevSeries, {"coeffs": [1.0, 0.5], "lambda_max": 2.0, "max_grid_error": 0.0}),
 }
 
