@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -46,12 +47,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"error: {message}\n")
 
 
-def _manifest(command: str, params: dict) -> dict:
+# argparse's own fields, and the worker count, on which no output depends
+_UNRECORDED = ("command", "bench_command", "func", "threads")
+
+
+def _manifest(command: str, args: argparse.Namespace, **resolved) -> dict:
+    """Provenance of one run: every parsed flag in parser order, with the values the command resolved in their place."""
+    params = {key: value for key, value in vars(args).items() if key not in _UNRECORDED}
     return {
         "tool": "graphsampling",
         "version": __version__,
         "command": command,
-        "parameters": params,
+        "parameters": params | resolved,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 
@@ -80,9 +87,19 @@ def _progress(total: int):
     return report
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_fracs(text: str) -> list[float]:
     try:
-        start, stop, step = (float(t) for t in text.split(":"))
+        start, stop, step = (_finite(t) for t in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError("expected START:STOP:STEP") from None
     if step <= 0 or start <= 0 or stop >= 1 or start > stop:
@@ -95,18 +112,16 @@ def _parse_fracs(text: str) -> list[float]:
     return out
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list") from None
+def _list_of(kind):
+    """Parser of a comma-separated list of ``kind`` values."""
 
+    def parse(text: str) -> list:
+        try:
+            return [kind(t) for t in text.split(",") if t]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list of {kind.__name__} values") from None
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated float list") from None
+    return parse
 
 
 def _parse_variants(text: str) -> list[str]:
@@ -121,31 +136,18 @@ def _parse_variants(text: str) -> list[str]:
 
 def cmd_gen(args) -> int:
     cfg = GeoConfig(n=args.n, side=args.side, kernel_sigma=args.kernel_sigma, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pc, g = build_instance(cfg, np.random.default_rng(cfg.seed))[:2]
-
+    variants = list(VARIANTS) if args.q == "all" else [args.q]
+    inners = [inner_for_variant(variant, g, pc) for variant in variants]
+    out = Path(args.out)
+    # created only now, so a rejected or failed run leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "points.json", {"side": pc.side, "positions": pc.positions.tolist()})
     # up to n(n-1)/2 edge triples: without indentation the file is 45% smaller and 3x faster to write
     _write_json(out / "graph.json", graph_to_json(g), indent=None)
-    variants = list(VARIANTS) if args.q == "all" else [args.q]
-    for variant in variants:
-        inner = inner_for_variant(variant, g, pc)
-        _write_json(out / f"q_{variant}.json", {"variant": variant, "entries": inner.entries.tolist()})
-    _write_json(
-        out / "manifest.json",
-        _manifest(
-            "gen",
-            {
-                "n": args.n,
-                "side": args.side,
-                "kernel_sigma": args.kernel_sigma,
-                "seed": args.seed,
-                "q": variants,
-                "out": str(out),
-            },
-        ),
-    )
+    for inner in inners:
+        _write_json(out / f"q_{inner.variant}.json", {"variant": inner.variant, "entries": inner.entries.tolist()})
+    _write_json(out / "manifest.json", _manifest("gen", args, q=variants, out=str(out)))
     print(f"wrote instance with {g.n} vertices to {out}")
     return _EXIT_OK
 
@@ -164,10 +166,7 @@ def cmd_select(args) -> int:
             "m": args.m,
             "order": result.order.tolist(),
             "cutoffs": result.cutoffs.tolist(),
-            "manifest": _manifest(
-                "select",
-                {"dir": str(directory), "q": args.q, "m": args.m, "k": args.k, "out": str(out)},
-            ),
+            "manifest": _manifest("select", args, dir=str(directory), out=str(out)),
         },
     )
     print(f"final cutoff estimate: {result.cutoffs[-1]:.12g}")
@@ -228,21 +227,11 @@ def cmd_reconstruct(args) -> int:
             "last_rel_change": report.last_rel_change,
             "manifest": _manifest(
                 "reconstruct",
-                {
-                    "dir": str(directory),
-                    "q": args.q,
-                    "method": args.method,
-                    "band": args.band,
-                    "omega": args.omega,
-                    "alpha": args.alpha,
-                    "cheb_order": args.cheb_order,
-                    "max_iters": args.max_iters,
-                    "rel_tol": args.rel_tol,
-                    "samples": str(args.samples),
-                    "selection": str(selection_path) if selection_path else None,
-                    "truth": str(args.truth) if args.truth else None,
-                    "out": str(out),
-                },
+                args,
+                dir=str(directory),
+                selection=str(selection_path) if selection_path else None,
+                truth=args.truth or None,
+                out=str(out),
             ),
         },
     )
@@ -267,15 +256,6 @@ def cmd_bench(args) -> int:
     cfg = GeoConfig(n=args.n, side=args.side, kernel_sigma=args.kernel_sigma, seed=args.seed, proxy_k=args.k)
     out = Path(args.out)
     run = {"variants": args.variants, "workers": args.threads, "progress": _progress(args.realizations)}
-    params = {
-        "n": cfg.n,
-        "side": cfg.side,
-        "kernel_sigma": cfg.kernel_sigma,
-        "seed": cfg.seed,
-        "k": cfg.proxy_k,
-        "realizations": args.realizations,
-        "fracs": args.fracs,
-    }
     if args.bench_command == "bound":
         table = run_bound_experiment(cfg, args.realizations, args.fracs, **run)
         chart = line_chart(
@@ -303,17 +283,13 @@ def cmd_bench(args) -> int:
             for c in args.signals
             for s in args.noises
         ]
-        params.update(
-            signals=list(args.signals), noises=list(args.noises), recon=args.recon, log_scale=bool(args.log_scale)
-        )
-    params.update(variants=list(args.variants), out=str(out))
     # created only now, so a rejected run leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{args.bench_command}.csv"
     csv_path.write_text(table.to_csv(), encoding="utf-8")
     for name, svg in charts:
         (out / name).write_text(svg, encoding="utf-8")
-    _write_json(out / "manifest.json", _manifest(f"bench {args.bench_command}", params))
+    _write_json(out / "manifest.json", _manifest(f"bench {args.bench_command}", args, out=str(out)))
     if all(np.isnan(row.mean_value) for row in table.rows):
         print("error: every benchmark cell failed", file=sys.stderr)
         return _EXIT_BENCH_FAILED
@@ -323,16 +299,21 @@ def cmd_bench(args) -> int:
 
 def _add_geometry_flags(parser):
     parser.add_argument("--n", type=int, default=100, help="number of vertices")
-    parser.add_argument("--side", type=float, default=10.0, help="square side length")
-    parser.add_argument("--kernel-sigma", type=float, default=1.0, help="Gaussian kernel width")
+    parser.add_argument("--side", type=_finite, default=10.0, help="square side length")
+    parser.add_argument("--kernel-sigma", type=_finite, default=1.0, help="Gaussian kernel width")
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
-def _add_bench_flags(parser, realizations: int) -> None:
+def _add_bench_flags(parser, realizations: int, mse: bool = False) -> None:
     _add_geometry_flags(parser)
     parser.add_argument("--k", type=int, default=3, help="proxy order")
     parser.add_argument("--realizations", type=int, default=realizations)
     parser.add_argument("--fracs", type=_parse_fracs, default="0.1:0.9:0.1", help="START:STOP:STEP")
+    if mse:
+        parser.add_argument("--signals", type=_list_of(int), default="2,3,4,5", help="sine cycles")
+        parser.add_argument("--noises", type=_list_of(_finite), default="0.1,0.2,0.4", help="noise levels")
+        parser.add_argument("--recon", choices=RECON_METHODS, default="closed-form")
+        parser.add_argument("--log-scale", action="store_true", help="log-scale error axis in SVG")
     parser.add_argument("--variants", type=_parse_variants, default="identity,degree,voronoi")
     parser.add_argument("--threads", type=int, default=1, help="worker threads; raise only with BLAS on one thread")
     parser.add_argument("--out", default=".", help="output directory")
@@ -363,17 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="reconstruct a signal from vertex samples")
     rec.add_argument("--dir", default=".", help="directory holding gen outputs")
     rec.add_argument("--q", choices=VARIANTS, default="voronoi", help="inner product variant")
-    rec.add_argument("--selection", default=None, help="selection file (default selection_<q>.json)")
-    rec.add_argument("--samples", required=True, help="JSON file with sampled vertices and values")
     rec.add_argument("--method", choices=RECON_METHODS, default="closed-form")
     rec.add_argument("--band", type=int, default=None, help="modes to fit (closed form)")
-    rec.add_argument("--omega", type=float, default=None, help="low-pass cutoff (default: final selection cutoff)")
-    rec.add_argument("--alpha", type=float, default=None, help="low-pass sharpness")
+    rec.add_argument("--omega", type=_finite, default=None, help="low-pass cutoff (default: final selection cutoff)")
+    rec.add_argument("--alpha", type=_finite, default=None, help="low-pass sharpness")
     rec.add_argument("--cheb-order", type=int, default=60, help="PoCS filter order: operator products per application")
     rec.add_argument("--max-iters", type=int, default=500, help="PoCS bound on filter applications (iters)")
     rec.add_argument(
-        "--rel-tol", type=float, default=1e-8, help="PoCS bound on the relative change one more sweep would make"
+        "--rel-tol", type=_finite, default=1e-8, help="PoCS bound on the relative change one more sweep would make"
     )
+    rec.add_argument("--samples", required=True, help="JSON file with sampled vertices and values")
+    rec.add_argument("--selection", default=None, help="selection file (default selection_<q>.json)")
     rec.add_argument("--truth", default=None, help="optional JSON file with the true signal")
     rec.add_argument("--out", default=None, help="output file (default reconstruction.json)")
     rec.set_defaults(func=cmd_reconstruct)
@@ -385,11 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bench_flags(bound, realizations=200)
 
     mse = bench_sub.add_parser("mse", help="mean reconstruction error of sine waves")
-    _add_bench_flags(mse, realizations=50)
-    mse.add_argument("--signals", type=_parse_int_list, default="2,3,4,5", help="sine cycles")
-    mse.add_argument("--noises", type=_parse_float_list, default="0.1,0.2,0.4", help="noise levels")
-    mse.add_argument("--recon", choices=RECON_METHODS, default="closed-form")
-    mse.add_argument("--log-scale", action="store_true", help="log-scale error axis in SVG")
+    _add_bench_flags(mse, realizations=50, mse=True)
 
     return parser
 

@@ -69,7 +69,8 @@ def _svd(a: np.ndarray, compute_uv: bool = False):
     out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     sigma = out[1] if compute_uv else out
     if not sigma[-1] > a.shape[0] * np.finfo(float).eps * sigma[0]:
-        raise RankDeficientError(float(sigma[-1]))
+        # LAPACK may return a zero singular value as -0.0
+        raise RankDeficientError(abs(float(sigma[-1])))
     return out
 
 

@@ -59,6 +59,26 @@ class TestGen:
         code = main(["select", "--dir", str(tmp_path), "--q", "identity", "--m", "1"])
         assert code == 2
 
+    def test_manifest_parameters(self, tmp_path):
+        # a path is recorded as resolved: without its trailing slash
+        assert gen(tmp_path, "--q", "all", "--out", f"{tmp_path}/") == 0
+        assert list(read_json(tmp_path / "manifest.json")["parameters"].items()) == [
+            ("n", 24),
+            ("side", 10.0),
+            ("kernel_sigma", 2.0),
+            ("seed", 7),
+            ("q", ["identity", "degree", "voronoi"]),
+            ("out", str(tmp_path)),
+        ]
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        # a kernel this narrow leaves vertex 0 without neighbours, so its degree inner product is singular
+        out = tmp_path / "zero"
+        assert main(["gen", "--n", "30", "--kernel-sigma", "0.001", "--q", "degree", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, seed", [(30, 3), (30, 11), (1, 1), (2, 1)])
     def test_points_match_build_instance(self, tmp_path, n, seed):
         # replays of a CLI chain rebuild the instance through the library
@@ -99,6 +119,17 @@ class TestSelect:
 
     def test_bad_flags_exit_two(self):
         assert main(["select", "--m", "not-a-number"]) == 2
+
+    def test_manifest_parameters(self, tmp_path):
+        gen(tmp_path, "--q", "degree")
+        assert main(["select", "--dir", f"{tmp_path}/", "--q", "degree", "--m", "6", "--k", "2"]) == 0
+        assert list(read_json(tmp_path / "selection_degree.json")["manifest"]["parameters"].items()) == [
+            ("dir", str(tmp_path)),
+            ("q", "degree"),
+            ("m", 6),
+            ("k", 2),
+            ("out", str(tmp_path / "selection_degree.json")),
+        ]
 
 
 class TestReconstruct:
@@ -159,6 +190,31 @@ class TestReconstruct:
         assert 1 <= report["iters"] <= 500
         assert report["residual_s"] == 0.0
 
+    def test_manifest_parameters(self, tmp_path):
+        self.prepare(tmp_path)
+        samples, truth = str(tmp_path / "samples.json"), str(tmp_path / "truth.json")
+        code = main([
+            "reconstruct", "--dir", str(tmp_path), "--q", "degree", "--samples", samples, "--truth", truth,
+            "--method", "pocs", "--max-iters", "400",
+        ])
+        assert code == 0
+        # a defaulted omega is recorded as null; the selection file is recorded because PoCS read its cutoff
+        assert list(read_json(tmp_path / "reconstruction.json")["manifest"]["parameters"].items()) == [
+            ("dir", str(tmp_path)),
+            ("q", "degree"),
+            ("method", "pocs"),
+            ("band", None),
+            ("omega", None),
+            ("alpha", None),
+            ("cheb_order", 60),
+            ("max_iters", 400),
+            ("rel_tol", 1e-8),
+            ("samples", samples),
+            ("selection", str(tmp_path / "selection_degree.json")),
+            ("truth", truth),
+            ("out", str(tmp_path / "reconstruction.json")),
+        ]
+
     def test_missing_samples_file_exits_one(self, tmp_path):
         self.prepare(tmp_path)
         code = main([
@@ -197,7 +253,8 @@ class TestReconstruct:
             "--samples", str(tmp_path / "samples.json"), "--band", "2",
         ])
         assert code == 3
-        assert "sigma_min" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.endswith("sigma_min = 0.000e+00\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "method", [["--method", "closed-form"], ["--method", "pocs", "--omega", "0.5"]], ids=["closed-form", "pocs"]
@@ -274,6 +331,19 @@ class TestBench:
             ("out", str(tmp_path)),
         ]
 
+    def test_bound_manifest_does_not_depend_on_threads(self, tmp_path):
+        manifests = []
+        for threads in ("1", "2"):
+            code = main([
+                "bench", "bound", "--n", "12", "--kernel-sigma", "2.0", "--seed", "5",
+                "--realizations", "2", "--fracs", "0.25:0.75:0.25",
+                "--threads", threads, "--out", str(tmp_path),
+            ])
+            assert code == 0
+            lines = (tmp_path / "manifest.json").read_text().splitlines(keepends=True)
+            manifests.append("".join(line for line in lines if '"created_utc"' not in line))
+        assert manifests[0] == manifests[1]
+
     @pytest.mark.parametrize("command", ["bound", "mse"])
     def test_one_worker_by_default(self, command):
         assert build_parser().parse_args(["bench", command]).threads == 1
@@ -336,6 +406,14 @@ SIX_SAMPLES = '{"vertices": [0, 1, 2, 3, 4, 5], "values": [1.0, 2.0, 3.0, 4.0, 5
         (["gen", "--n", "5", "--kern", "2"], None),
         (["reconstruct", "--q", "degree", "--r", "6"], SIX_SAMPLES),
         (["reconstruct", "--q", "degree", "--max", "7"], SIX_SAMPLES),
+        (["reconstruct", "--q", "degree", "--method", "pocs", "--rel-tol", "inf"], SIX_SAMPLES),
+        (["reconstruct", "--q", "degree", "--method", "pocs", "--alpha", "inf"], SIX_SAMPLES),
+        (["reconstruct", "--q", "degree", "--method", "pocs", "--omega", "nan"], SIX_SAMPLES),
+        (["gen", "--n", "5", "--kernel-sigma", "inf"], None),
+        (["gen", "--n", "5", "--side", "inf"], None),
+        (["bench", "mse", "--n", "12", "--kernel-sigma", "inf"], None),
+        (["bench", "mse", "--n", "12", "--fracs", "nan:0.5:0.1"], None),
+        (["bench", "mse", "--n", "12", "--noises", "0.1,inf"], None),
     ],
     ids=[
         "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
@@ -344,6 +422,8 @@ SIX_SAMPLES = '{"vertices": [0, 1, 2, 3, 4, 5], "values": [1.0, 2.0, 3.0, 4.0, 5
         "nan-value",
         "reversed-fracs", "unknown-variant", "non-integer-threads", "non-integer-target",
         "kernel-sigma-prefix", "band-alias", "max-iters-prefix",
+        "infinite-rel-tol", "infinite-alpha", "nan-omega", "gen-infinite-kernel-sigma", "infinite-side",
+        "mse-infinite-kernel-sigma", "nan-fracs", "infinite-noise",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples):
@@ -359,8 +439,39 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if argv[0] == "bench":
+    if argv[0] in ("gen", "bench"):
         assert not (tmp_path / "out").exists()
+
+
+# left out of every manifest: argparse's own fields, and the worker count, on which no output depends
+UNRECORDED = ("command", "bench_command", "func", "threads")
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["gen", "--n", "12", "--out", "{d}/g"], "g/manifest.json"),
+        (["select", "--dir", "{d}", "--q", "degree", "--m", "4"], "selection_degree.json"),
+        (["reconstruct", "--dir", "{d}", "--q", "degree", "--samples", "{d}/six.json"], "reconstruction.json"),
+        (["reconstruct", "--dir", "{d}", "--q", "degree", "--samples", "{d}/six.json", "--method", "pocs"],
+         "reconstruction.json"),
+        (["bench", "bound", "--n", "12", "--realizations", "1", "--fracs", "0.5:0.5:0.1", "--out", "{d}/b"],
+         "b/manifest.json"),
+        (["bench", "mse", "--n", "12", "--realizations", "1", "--fracs", "0.5:0.5:0.1", "--signals", "2",
+          "--noises", "0.1", "--out", "{d}/m"], "m/manifest.json"),
+    ],
+    ids=["gen", "select", "closed-form", "pocs", "bench-bound", "bench-mse"],
+)
+def test_manifest_records_every_flag_in_parser_order(tmp_path, argv, output):
+    gen(tmp_path, "--q", "degree")
+    assert main(["select", "--dir", str(tmp_path), "--q", "degree", "--m", "6"]) == 0
+    (tmp_path / "six.json").write_text(SIX_SAMPLES, encoding="utf-8")
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert main(argv) == 0
+    manifest = read_json(tmp_path / output)
+    manifest = manifest.get("manifest", manifest)
+    recorded = [key for key in vars(build_parser().parse_args(argv)) if key not in UNRECORDED]
+    assert list(manifest["parameters"]) == recorded
 
 
 @pytest.mark.parametrize(

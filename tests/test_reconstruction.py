@@ -1,6 +1,7 @@
 """Closed-form reconstruction, covariance analysis, filters, and iterative recovery."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -127,6 +128,8 @@ class TestConsistentReconstruct:
         with pytest.raises(RankDeficientError) as err:
             gs.consistent_reconstruct(basis, [0, 1], [1.0, 2.0], band=2)
         assert err.value.sigma_min <= 1e-10
+        # the SVD with vectors returns this zero as -0.0, which would print as "-0.000e+00"
+        assert math.copysign(1.0, err.value.sigma_min) == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_value_rejected(self, bad):
