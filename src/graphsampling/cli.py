@@ -72,6 +72,24 @@ def _read_json(path: Path) -> dict:
         return json.load(fh)
 
 
+def _out_dir(text: str) -> Path:
+    """``--out`` of ``gen`` and ``bench``, checked before any work: a directory, or a path not yet taken."""
+    out = Path(text)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"--out {out}: exists and is not a directory")
+    return out
+
+
+def _out_file(text: str) -> Path:
+    """``--out`` of ``select`` and ``reconstruct``, checked before any input is read: a file in a directory."""
+    out = Path(text)
+    if out.is_dir():
+        raise ValueError(f"--out {out}: is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {out}: no directory {out.parent}")
+    return out
+
+
 def _load_inner(directory: Path, variant: str) -> InnerProduct:
     data = _read_json(directory / f"q_{variant}.json")
     return InnerProduct(data["variant"], np.asarray(data["entries"], dtype=float))
@@ -135,11 +153,11 @@ def _parse_variants(text: str) -> list[str]:
 
 
 def cmd_gen(args) -> int:
+    out = _out_dir(args.out)
     cfg = GeoConfig(n=args.n, side=args.side, kernel_sigma=args.kernel_sigma, seed=args.seed)
     pc, g = build_instance(cfg, np.random.default_rng(cfg.seed))[:2]
     variants = list(VARIANTS) if args.q == "all" else [args.q]
     inners = [inner_for_variant(variant, g, pc) for variant in variants]
-    out = Path(args.out)
     # created only now, so a rejected or failed run leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "points.json", {"side": pc.side, "positions": pc.positions.tolist()})
@@ -154,10 +172,10 @@ def cmd_gen(args) -> int:
 
 def cmd_select(args) -> int:
     directory = Path(args.dir)
+    out = _out_file(args.out) if args.out else directory / f"selection_{args.q}.json"
     g = graph_from_json(_read_json(directory / "graph.json"))
     inner = _load_inner(directory, args.q)
     result = greedy_select(combinatorial_laplacian(g), inner, args.m, k=args.k)
-    out = Path(args.out) if args.out else directory / f"selection_{args.q}.json"
     _write_json(
         out,
         {
@@ -175,6 +193,7 @@ def cmd_select(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     directory = Path(args.dir)
+    out = _out_file(args.out) if args.out else directory / "reconstruction.json"
     g = graph_from_json(_read_json(directory / "graph.json"))
     inner = _load_inner(directory, args.q)
     selection_path = Path(args.selection) if args.selection else directory / f"selection_{args.q}.json"
@@ -215,7 +234,6 @@ def cmd_reconstruct(args) -> int:
     if not (np.isfinite(report.x_hat).all() and np.isfinite(scalars).all()):
         raise NotFiniteError(f"the {args.method} reconstruction has non-finite values")
 
-    out = Path(args.out) if args.out else directory / "reconstruction.json"
     _write_json(
         out,
         {
@@ -253,8 +271,8 @@ def _series(table: ResultTable, variants, x_scale: float = 1.0, cycles=None, sig
 
 def cmd_bench(args) -> int:
     """``bench bound`` and ``bench mse``: run the driver, then write its CSV, charts and manifest."""
+    out = _out_dir(args.out)
     cfg = GeoConfig(n=args.n, side=args.side, kernel_sigma=args.kernel_sigma, seed=args.seed, proxy_k=args.k)
-    out = Path(args.out)
     run = {"variants": args.variants, "workers": args.threads, "progress": _progress(args.realizations)}
     if args.bench_command == "bound":
         table = run_bound_experiment(cfg, args.realizations, args.fracs, **run)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsampling as gs
+from graphsampling import cli
 from graphsampling.cli import build_parser, main
 from graphsampling.errors import RankDeficientError
 
@@ -362,7 +363,6 @@ class TestBench:
         assert svg.count("<polyline") + svg.count("<circle") >= 3
 
     def test_total_failure_exits_four(self, tmp_path, monkeypatch):
-        import graphsampling.cli as cli
         from graphsampling.bench import ResultTable, TableRow
 
         rows = tuple(
@@ -441,6 +441,46 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[0] in ("gen", "bench"):
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "10"],
+        ["bench", "bound", "--n", "12", "--realizations", "1"],
+        ["bench", "mse", "--n", "12", "--realizations", "1"],
+    ],
+    ids=["gen", "bench-bound", "bench-mse"],
+)
+def test_out_naming_a_file_exits_two_and_writes_nothing(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    assert main(argv + ["--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {taken}: exists and is not a directory\n"
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("command", ["select", "reconstruct"])
+def test_out_in_a_missing_directory_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+    gen(tmp_path, "--q", "degree")
+    (tmp_path / "samples.json").write_text(SIX_SAMPLES, encoding="utf-8")
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    # neither input is read nor any result computed
+    monkeypatch.setattr(cli, "_read_json", no_work)
+    monkeypatch.setattr(cli, "greedy_select", no_work)
+    monkeypatch.setattr(cli, "consistent_reconstruct", no_work)
+    target = tmp_path / "nodir" / "x.json"
+    argv = [command, "--dir", str(tmp_path), "--q", "degree", "--out", str(target)]
+    argv += ["--m", "4"] if command == "select" else ["--samples", str(tmp_path / "samples.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out {target}: no directory {target.parent}\n"
+    assert not target.parent.exists()
 
 
 # left out of every manifest: argparse's own fields, and the worker count, on which no output depends

@@ -219,11 +219,12 @@ class TestGreedySelect:
         assert np.unique(res.order).size == 3
         assert np.isfinite(res.cutoffs).all()
 
-    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("graph", [star_graph(6), two_triangles()], ids=["star", "triangles"])
     def test_degenerate_growth_steps_stay_finite(self, graph, m):
-        # the odd growth steps solve the secular equation of the previous
-        # restriction, whose repeated eigenvalues put the root on a pole
+        # the block steps solve the secular equation of the held decomposition,
+        # whose repeated eigenvalues put the root on a pole: in the star the
+        # block of r = 2 rows (centre and a leaf) lands on the leaf frequency
         lap = gs.combinatorial_laplacian(graph)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -297,19 +298,78 @@ class TestGreedySelect:
             ref = gs.cutoff_frequency(lap, inner, res.order[:size], k=3).omega
             assert abs(res.cutoffs[size - 1] ** 6 - ref**6) <= floor
 
-    def test_growth_phase_decomposes_every_other_step(self, monkeypatch):
+    def test_growth_phase_decomposes_once_per_block(self, monkeypatch):
+        # the basis, then the restriction afresh whenever the r rows picked since
+        # the held decomposition of size p reach r^2 > p; every other pick is a
+        # block step of the secular equation, whose small bordered eigh calls
+        # are left out of the record
         pc, g, lap = geometric_instance(seed=3, n=100)
         inner = gs.voronoi_areas(pc)
-        eigh, shapes = np.linalg.eigh, []
+        eigh, deleted_root, calls = np.linalg.eigh, gs.sampling._deleted_root, []
 
         def counting_eigh(a):
-            shapes.append(a.shape)
+            calls.append(a.shape)
             return eigh(a)
 
+        def recorded_block(vals, vecs, rows, lo):
+            calls.append(("block", len(rows), len(vals)))
+            before = len(calls)
+            out = deleted_root(vals, vecs, rows, lo)
+            del calls[before:]
+            return out
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(gs.sampling, "_deleted_root", recorded_block)
         gs.greedy_select(lap, inner, 90, k=3)
-        # the basis, then the restrictions at sizes 2, 4, ..., 90
-        assert shapes == [(100, 100)] + [(100 - size,) * 2 for size in range(2, 91, 2)]
+        held = [100, 89, 79, 70, 61, 53, 45, 38, 31, 25, 19, 14, 10]
+        expected = [(100, 100)]
+        for p, fresh in zip(held, held[1:]):
+            expected += [("block", r, p) for r in range(1, p - fresh)] + [(fresh, fresh)]
+        assert calls == expected
+
+    @pytest.mark.parametrize("seed, unit", [(2, 19), (3, 21), (3, 46)])
+    def test_first_block_cutoffs_are_exact(self, seed, unit):
+        # Voronoi instances of the bound experiment at n = 100 whose size-2 cutoff
+        # read exactly 0.0 when every other pick decomposed the squared Gram; the
+        # picks at sizes 2 ... 10 delete rows from the basis itself
+        cfg = gs.GeoConfig(n=100, side=10.0, kernel_sigma=1.0, seed=seed * 1_000_000 + unit, proxy_k=3)
+        pc, g, lap = gs.build_instance(cfg, gs.realization_rng(cfg.seed, 0))
+        inner = gs.voronoi_areas(pc)
+        res = gs.greedy_select(lap, inner, 11, k=3)
+        for size in range(2, 11):
+            oracle = explicit_cutoff(lap, inner, res.order[:size], 3)
+            assert res.cutoffs[size - 1] > 0.0
+            assert abs(res.cutoffs[size - 1] - oracle) <= 1e-8 * oracle
+
+    def test_growth_cutoffs_match_explicit_svd_at_n400(self):
+        # seed 2: decomposing the squared Gram every other pick erred by 1.4e-7 at size 20
+        pc, g, lap = geometric_instance(seed=2, n=400)
+        inner = gs.voronoi_areas(pc)
+        res = gs.greedy_select(lap, inner, 80, k=3)
+        for size in (20, 40, 80):
+            oracle = explicit_cutoff(lap, inner, res.order[:size], 3)
+            assert abs(res.cutoffs[size - 1] - oracle) <= 1e-7 * oracle
+
+    @pytest.mark.parametrize(
+        "graph, rows, root",
+        [(star_graph(6), [0, 1], 1.0), (two_triangles(), [0, 1], 0.0)],
+        ids=["star", "triangles"],
+    )
+    def test_block_root_on_a_held_eigenvalue(self, graph, rows, root):
+        # deleting the centre and a leaf leaves a star's leaf modes at frequency 1;
+        # deleting two vertices of one triangle leaves the other's constant at 0:
+        # either way the root sits on a repeated eigenvalue of the basis
+        lap = gs.combinatorial_laplacian(graph)
+        basis = gs.compute_basis(lap, gs.identity_inner_product(graph.n))
+        v, d = gs.sampling._eigenpairs(basis, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, z = gs.sampling._deleted_root(d, v, rows, float(d[0]))
+        keep = np.setdiff1d(np.arange(graph.n), rows)
+        restricted = ((v * d) @ v.T)[np.ix_(keep, keep)]
+        assert abs(mu - root) <= 1e-12
+        assert np.all(z[rows] == 0.0) and np.linalg.norm(z) > 0.5
+        np.testing.assert_allclose(restricted @ z[keep], mu * z[keep], atol=1e-12)
 
     def test_invalid_target_rejected(self):
         inner = gs.identity_inner_product(3)
