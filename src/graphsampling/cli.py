@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -32,6 +33,9 @@ _EXIT_MISSING_INPUT = 1
 _EXIT_USAGE = 2
 _EXIT_NUMERICAL = 3
 _EXIT_BENCH_FAILED = 4
+
+# the most sampling fractions one --fracs may give
+_MAX_FRACS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,6 +99,18 @@ def _load_inner(directory: Path, variant: str) -> InnerProduct:
     return InnerProduct(data["variant"], np.asarray(data["entries"], dtype=float))
 
 
+def _truth(path: Path, n: int) -> np.ndarray:
+    """``--truth`` values, checked before any work: a list of ``n`` finite numbers."""
+    values = _read_json(path)["values"]
+    # as for samples, booleans and numeric strings are not numbers
+    if isinstance(values, list) and len(values) == n and all(type(v) in (int, float) for v in values):
+        with contextlib.suppress(OverflowError):
+            truth = np.asarray(values, dtype=float)
+            if np.isfinite(truth).all():
+                return truth
+    raise ValueError(f"--truth {path}: expected a list of {n} finite numbers")
+
+
 def _progress(total: int):
     if not sys.stderr.isatty():
         return None
@@ -122,12 +138,11 @@ def _parse_fracs(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("expected START:STOP:STEP") from None
     if step <= 0 or start <= 0 or stop >= 1 or start > stop:
         raise argparse.ArgumentTypeError("fractions must satisfy 0 < START <= STOP < 1, STEP > 0")
-    out = []
-    value = start
-    while value <= stop + 1e-9:
-        out.append(round(value, 10))
-        value += step
-    return out
+    # the count is one more than this, floored; it is bounded before any list is built
+    span = (stop - start) / step + 1e-9
+    if span >= _MAX_FRACS:
+        raise argparse.ArgumentTypeError(f"START:STOP:STEP must give at most {_MAX_FRACS} fractions")
+    return [round(start + i * step, 10) for i in range(math.floor(span) + 1)]
 
 
 def _list_of(kind):
@@ -208,9 +223,7 @@ def cmd_reconstruct(args) -> int:
     # numpy would take booleans as vertex ids and numeric strings as values
     if any(type(v) is not int for v in vertices) or any(type(v) not in (int, float) for v in values):
         raise ValueError("samples must list integer vertex ids and numeric values")
-    truth = None
-    if args.truth:
-        truth = np.asarray(_read_json(Path(args.truth))["values"], dtype=float)
+    truth = _truth(Path(args.truth), g.n) if args.truth else None
 
     lap = combinatorial_laplacian(g)
     # floating-point warnings stay silent: a non-finite result is reported below as one error line

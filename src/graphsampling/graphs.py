@@ -7,11 +7,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyVertexSetError,
-    ZeroDegreeError,
-)
+from .errors import DimensionMismatchError, ZeroDegreeError
 
 # the inner products of the experiments; ``InnerProduct`` also accepts "custom"
 VARIANTS = ("identity", "degree", "voronoi")
@@ -88,11 +84,6 @@ def identity_inner_product(n: int) -> InnerProduct:
     return InnerProduct("identity", np.ones(int(n)))
 
 
-def custom_diagonal(entries) -> InnerProduct:
-    """Wrap an arbitrary positive diagonal as an inner product."""
-    return InnerProduct("custom", entries)
-
-
 def combinatorial_laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian ``diag(W 1) - W``.
 
@@ -141,14 +132,6 @@ def complement(indices, n: int) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     keep[vertex_set(indices, n)] = False
     return np.flatnonzero(keep).astype(np.intp)
-
-
-def restrict(inner: InnerProduct, indices) -> InnerProduct:
-    """Principal restriction of a diagonal inner product to a vertex subset."""
-    sel = vertex_set(indices, inner.n)
-    if sel.size == 0:
-        raise EmptyVertexSetError("cannot restrict to an empty vertex set")
-    return InnerProduct(inner.variant, inner.entries[sel])
 
 
 def q_inner(x, y, inner: InnerProduct) -> float:

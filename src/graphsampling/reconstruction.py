@@ -205,23 +205,6 @@ def lowpass_response(freqs, omega: float, alpha: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ChebyshevSeries:
-    """Chebyshev series ``c0/2 + sum_j c_j T_j`` of a filter response.
-
-    ``max_grid_error`` reports the largest pointwise deviation between the
-    series and the exact response on a 1000-point grid over
-    ``[0, lambda_max]``.
-    """
-
-    coeffs: np.ndarray
-    lambda_max: float
-    max_grid_error: float
-
-    def __post_init__(self):
-        _freeze(self, "coeffs")
-
-
 def evaluate_cheb_series(coeffs, lambda_max: float, freqs) -> np.ndarray:
     """Clenshaw evaluation of a series at frequencies mapped onto [-1, 1]."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -244,7 +227,7 @@ def _cheb_table(order: int, npts: int):
 
 
 def _cheb_coeffs(params: PocsParams) -> np.ndarray:
-    """Chebyshev coefficients of the logistic low-pass, without the grid check.
+    """Chebyshev coefficients ``c`` of the logistic low-pass on ``[0, lambda_max]``, as ``c0/2 + sum_j c_j T_j``.
 
     Uses the cosine-transform construction on Chebyshev nodes; at least 1000
     quadrature nodes are used regardless of the series order.
@@ -254,26 +237,6 @@ def _cheb_coeffs(params: PocsParams) -> np.ndarray:
     nodes = 0.5 * params.lambda_max * (np.cos(theta) + 1.0)
     vals = lowpass_response(nodes, params.omega, params.alpha)
     return (2.0 / npts) * (table @ vals)
-
-
-def cheb_lowpass_series(params: PocsParams) -> ChebyshevSeries:
-    """Chebyshev coefficients of the logistic low-pass on ``[0, lambda_max]``.
-
-    Uses the cosine-transform construction on at least 1000 Chebyshev nodes;
-    the series also carries its largest deviation from the response on a
-    1000-point grid.
-    """
-    coeffs = _cheb_coeffs(params)
-    grid = np.linspace(0.0, params.lambda_max, 1000)
-    err = float(
-        np.max(
-            np.abs(
-                evaluate_cheb_series(coeffs, params.lambda_max, grid)
-                - lowpass_response(grid, params.omega, params.alpha)
-            )
-        )
-    )
-    return ChebyshevSeries(coeffs, params.lambda_max, err)
 
 
 def _cheb_kernel(variation, inner: InnerProduct, coeffs, lambda_max: float):
@@ -306,20 +269,6 @@ def _cheb_kernel(variation, inner: InnerProduct, coeffs, lambda_max: float):
         return weights @ terms
 
     return apply
-
-
-def apply_cheb_filter(variation, inner: InnerProduct, coeffs, lambda_max: float, x) -> np.ndarray:
-    """Apply a Chebyshev polynomial filter using only operator products.
-
-    Runs the three-term recurrence on the inner-product-scaled variation
-    operator, so no eigendecomposition is needed; the result matches
-    synthesizing with the series response applied to every frequency, up to
-    the series' own approximation error.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inner.n,):
-        raise DimensionMismatchError(f"signal must have shape ({inner.n},)")
-    return _cheb_kernel(variation, inner, coeffs, lambda_max)(x)
 
 
 def pocs_reconstruct(

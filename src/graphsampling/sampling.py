@@ -348,14 +348,3 @@ def e_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
     a = _design(basis, sampled, band)[3]
     return float(_svd(a)[-1])
 
-
-def a_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
-    """Mean-squared-error design objective ``sum sigma^-2`` over the weighted design's singular values.
-
-    Raises
-    ------
-    RankDeficientError
-        If the design is singular: ``sigma_min <= |S| eps sigma_max``.
-    """
-    a = _design(basis, sampled, band)[3]
-    return float(np.sum(_svd(a) ** -2.0))

@@ -120,21 +120,6 @@ def bandlimit_split(basis: SpectralBasis, x, modes_kept: int):
     return low, x - low
 
 
-def is_bandlimited(basis: SpectralBasis, x, omega: float, tol: float = 1e-9) -> bool:
-    """Whether all spectral content above frequency ``omega`` is negligible.
-
-    True iff the largest coefficient at frequencies above ``omega`` is at
-    most ``tol`` times the Euclidean norm of the full spectrum.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    coeffs = analyze(basis, x)
-    high = basis.frequencies > omega
-    if not high.any():
-        return True
-    return float(np.abs(coeffs[high]).max()) <= tol * float(np.linalg.norm(coeffs))
-
-
 def estimate_lambda_max(variation: np.ndarray, inner: InnerProduct) -> float:
     """Upper bound on the largest frequency, for a polynomial-filter interval end.
 

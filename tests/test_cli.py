@@ -1,8 +1,10 @@
 """End-to-end command-line workflows on temporary directories."""
 
+import argparse
 import contextlib
 import io
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -353,6 +355,18 @@ class TestBench:
         code = main(["bench", "bound", "--fracs", "0.5:0.1:0.1", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_fracs_count_is_bounded_before_any_list_is_built(self):
+        # a step this small once made the parser loop without end; the alarm turns a hang into a failure
+        previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("--fracs parsing did not return"))
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(argparse.ArgumentTypeError, match="at most 10000 fractions"):
+                cli._parse_fracs("1e-300:0.9:1e-300")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(cli._parse_fracs("0.1:0.9:0.0001")) == 8001
+
     def test_svg_regenerates_from_csv_series(self, tmp_path):
         main([
             "bench", "bound", "--n", "12", "--kernel-sigma", "2.0", "--seed", "5",
@@ -379,6 +393,11 @@ class TestBench:
 
 # a samples file the closed form accepts at band 6, so only a flag can make its command fail
 SIX_SAMPLES = '{"vertices": [0, 1, 2, 3, 4, 5], "values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}'
+# truth files for the 24-vertex instance of ``gen``: one value is not finite, or too few values
+BAD_TRUTHS = {
+    "nan-truth.json": '{"values": [NaN' + ", 0.0" * 23 + "]}",
+    "short-truth.json": '{"values": [1.0, 2.0, 3.0, 4.0, 5.0]}',
+}
 
 
 @pytest.mark.parametrize(
@@ -414,6 +433,13 @@ SIX_SAMPLES = '{"vertices": [0, 1, 2, 3, 4, 5], "values": [1.0, 2.0, 3.0, 4.0, 5
         (["bench", "mse", "--n", "12", "--kernel-sigma", "inf"], None),
         (["bench", "mse", "--n", "12", "--fracs", "nan:0.5:0.1"], None),
         (["bench", "mse", "--n", "12", "--noises", "0.1,inf"], None),
+        (["bench", "bound", "--n", "12", "--fracs", "0.1:0.9:1e-5"], None),
+        (["reconstruct", "--q", "degree", "--truth", "{d}/nan-truth.json"], SIX_SAMPLES),
+        (["reconstruct", "--q", "degree", "--truth", "{d}/short-truth.json"], SIX_SAMPLES),
+        (["reconstruct", "--q", "degree", "--method", "pocs", "--omega", "0.5", "--truth", "{d}/nan-truth.json"],
+         SIX_SAMPLES),
+        (["reconstruct", "--q", "degree", "--method", "pocs", "--omega", "0.5", "--truth", "{d}/short-truth.json"],
+         SIX_SAMPLES),
     ],
     ids=[
         "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
@@ -423,12 +449,16 @@ SIX_SAMPLES = '{"vertices": [0, 1, 2, 3, 4, 5], "values": [1.0, 2.0, 3.0, 4.0, 5
         "reversed-fracs", "unknown-variant", "non-integer-threads", "non-integer-target",
         "kernel-sigma-prefix", "band-alias", "max-iters-prefix",
         "infinite-rel-tol", "infinite-alpha", "nan-omega", "gen-infinite-kernel-sigma", "infinite-side",
-        "mse-infinite-kernel-sigma", "nan-fracs", "infinite-noise",
+        "mse-infinite-kernel-sigma", "nan-fracs", "infinite-noise", "too-many-fracs",
+        "nan-truth", "short-truth", "pocs-nan-truth", "pocs-short-truth",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples):
     gen(tmp_path, "--q", "degree")
     capsys.readouterr()
+    for name, text in BAD_TRUTHS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [a.format(d=tmp_path) for a in argv]
     if argv[0] in ("gen", "bench"):
         argv = argv + ["--out", str(tmp_path / "out")]
     else:
@@ -481,6 +511,25 @@ def test_out_in_a_missing_directory_exits_two_before_any_work(tmp_path, capsys, 
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: --out {target}: no directory {target.parent}\n"
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("method", ["closed-form", "pocs"])
+def test_bad_truth_is_named_before_any_work(tmp_path, capsys, monkeypatch, method):
+    gen(tmp_path, "--q", "degree")
+    (tmp_path / "samples.json").write_text(SIX_SAMPLES, encoding="utf-8")
+    truth = tmp_path / "nan-truth.json"
+    truth.write_text(BAD_TRUTHS["nan-truth.json"], encoding="utf-8")
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the truth file was checked")
+
+    monkeypatch.setattr(cli, "compute_basis", no_work)
+    monkeypatch.setattr(cli, "estimate_lambda_max", no_work)
+    argv = ["reconstruct", "--dir", str(tmp_path), "--q", "degree", "--method", method, "--omega", "0.5"]
+    assert main(argv + ["--samples", str(tmp_path / "samples.json"), "--truth", str(truth)]) == 2
+    assert capsys.readouterr().err == f"error: --truth {truth}: expected a list of 24 finite numbers\n"
+    assert not (tmp_path / "reconstruction.json").exists()
 
 
 # left out of every manifest: argparse's own fields, and the worker count, on which no output depends
@@ -601,7 +650,7 @@ def test_samples_file_never_ends_in_a_traceback(small_instance, doc):
         entries = read_json(small_instance / "q_voronoi.json")["entries"]
         basis = gs.compute_basis(lap, gs.InnerProduct("voronoi", np.asarray(entries)))
         with pytest.raises(RankDeficientError):
-            gs.a_opt_metric(basis, doc["vertices"], len(doc["vertices"]))
+            gs.e_opt_metric(basis, doc["vertices"], len(doc["vertices"]))
     else:
         assert code == 0
         assert np.all(np.isfinite(read_json(out)["x_hat"]))

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsampling as gs
-from graphsampling.errors import (
-    DimensionMismatchError,
-    EmptyVertexSetError,
-    ZeroDegreeError,
-)
+from graphsampling.errors import DimensionMismatchError, ZeroDegreeError
 from helpers import laplacian_quadratic_oracle, random_weights
 
 PATH3 = np.array([[0.0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -51,7 +47,6 @@ READ_ONLY_FIELDS = {
     "SamplingResult.order": _SELECTION,
     "SamplingResult.cutoffs": _SELECTION,
     "ReconstructionReport.x_hat": (gs.ReconstructionReport, {"x_hat": [1.0, 2.0], "iters": 0, "residual_s": 0.0}),
-    "ChebyshevSeries.coeffs": (gs.ChebyshevSeries, {"coeffs": [1.0, 0.5], "lambda_max": 2.0, "max_grid_error": 0.0}),
 }
 
 
@@ -112,35 +107,6 @@ class TestDegreeMatrix:
         assert err.value.vertex == 2
 
 
-class TestRestrict:
-    def test_identity_subset(self):
-        inner = gs.identity_inner_product(5)
-        sub = gs.restrict(inner, [1, 3])
-        np.testing.assert_array_equal(sub.entries, [1.0, 1.0])
-
-    def test_diagonal_subset_exact(self):
-        inner = gs.custom_diagonal([1.0, 2.0, 3.0])
-        sub = gs.restrict(inner, [0, 2])
-        np.testing.assert_array_equal(sub.entries, [1.0, 3.0])
-
-    def test_full_restriction_is_identity_map(self):
-        inner = gs.custom_diagonal([0.5, 1.5, 2.5, 3.5])
-        sub = gs.restrict(inner, [0, 1, 2, 3])
-        np.testing.assert_array_equal(sub.entries, inner.entries)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(EmptyVertexSetError):
-            gs.restrict(gs.identity_inner_product(3), [])
-
-    @given(st.sets(st.integers(0, 7), min_size=1))
-    def test_entries_bit_identical(self, subset):
-        entries = np.linspace(0.25, 4.0, 8)
-        inner = gs.custom_diagonal(entries)
-        sel = sorted(subset)
-        sub = gs.restrict(inner, sel)
-        assert all(sub.entries[i] == entries[v] for i, v in enumerate(sel))
-
-
 class TestWeightedInnerProduct:
     def test_identity_is_dot_product(self, rng):
         inner = gs.identity_inner_product(6)
@@ -148,12 +114,12 @@ class TestWeightedInnerProduct:
         assert gs.q_inner(x, y, inner) == pytest.approx(float(x @ y), abs=1e-14)
 
     def test_sqrt_five_norm(self):
-        inner = gs.custom_diagonal([2.0, 3.0])
+        inner = gs.InnerProduct("custom", [2.0, 3.0])
         assert gs.q_norm([1.0, 1.0], inner) == pytest.approx(np.sqrt(5.0), abs=1e-14)
 
     def test_matches_elementwise_sum(self, rng):
         q = rng.uniform(0.1, 3.0, 7)
-        inner = gs.custom_diagonal(q)
+        inner = gs.InnerProduct("custom", q)
         x, y = rng.standard_normal(7), rng.standard_normal(7)
         oracle = sum(q[i] * y[i] * x[i] for i in range(7))
         assert gs.q_inner(x, y, inner) == pytest.approx(oracle, abs=1e-12)
@@ -166,14 +132,14 @@ class TestWeightedInnerProduct:
     @given(st.integers(0, 2**32 - 1))
     def test_triangle_inequality_and_homogeneity(self, seed):
         r = np.random.default_rng(seed)
-        inner = gs.custom_diagonal(r.uniform(0.1, 5.0, 5))
+        inner = gs.InnerProduct("custom", r.uniform(0.1, 5.0, 5))
         x, y = r.standard_normal(5), r.standard_normal(5)
         a = float(r.standard_normal())
         assert gs.q_norm(x + y, inner) <= gs.q_norm(x, inner) + gs.q_norm(y, inner) + 1e-10
         assert gs.q_norm(a * x, inner) == pytest.approx(abs(a) * gs.q_norm(x, inner), abs=1e-10)
 
     def test_norm_zero_only_for_zero(self):
-        inner = gs.custom_diagonal([2.0, 0.5])
+        inner = gs.InnerProduct("custom", [2.0, 0.5])
         assert gs.q_norm([0.0, 0.0], inner) == 0.0
         assert gs.q_norm([1e-150, 0.0], inner) > 0.0
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import graphsampling as gs
 from graphsampling.errors import RankDeficientError
-from graphsampling.reconstruction import _cheb_coeffs, _cheb_table
+from graphsampling.reconstruction import _cheb_coeffs, _cheb_kernel, _cheb_table
 from helpers import all_inners, cluster_cloud, geometric_instance
 
 
@@ -33,9 +33,16 @@ def recurrence_oracle(variation, inner, coeffs, lambda_max, x):
     return acc
 
 
+def grid_error(params):
+    """Largest deviation of the series from the exact response on a 1000-point grid over ``[0, lambda_max]``."""
+    grid = np.linspace(0.0, params.lambda_max, 1000)
+    series = gs.evaluate_cheb_series(_cheb_coeffs(params), params.lambda_max, grid)
+    return float(np.max(np.abs(series - gs.lowpass_response(grid, params.omega, params.alpha))))
+
+
 def pocs_sweep_count(variation, inner, sampled, y, params):
     """Sweeps that PoCS filtering with the recurrence oracle needs to meet its stopping rule."""
-    coeffs = gs.cheb_lowpass_series(params).coeffs
+    coeffs = _cheb_coeffs(params)
     x = np.zeros(inner.n)
     x[sampled] = y
     for iters in range(1, params.max_iters + 1):
@@ -51,7 +58,7 @@ def pocs_sweep_count(variation, inner, sampled, y, params):
 
 def fixed_point_oracle(variation, inner, sampled, y, params):
     """Dense solve of PoCS's fixed point ``(I - H_UU) x_U = H_US y``, with H built column by column."""
-    coeffs = gs.cheb_lowpass_series(params).coeffs
+    coeffs = _cheb_coeffs(params)
     n = inner.n
     h = np.column_stack(
         [recurrence_oracle(variation, inner, coeffs, params.lambda_max, e) for e in np.eye(n)]
@@ -201,7 +208,6 @@ class TestOneSingularityRule:
     def test_near_singular_design_is_regular_for_all(self):
         basis = delta_basis(1e-7)
         assert gs.e_opt_metric(basis, [0, 1], 2) == pytest.approx(1e-7, rel=1e-9)
-        assert gs.a_opt_metric(basis, [0, 1], 2) == pytest.approx(1.0 + 1e14, rel=1e-9)
         report = gs.consistent_reconstruct(basis, [0, 1], [1.0, 1.0], band=2)
         assert np.abs(report.x_hat).max() == pytest.approx(1e7, rel=1e-6)
         assert report.residual_s <= 1e-8
@@ -211,7 +217,6 @@ class TestOneSingularityRule:
         payloads = []
         for call in [
             lambda: gs.e_opt_metric(basis, [0, 1], 2),
-            lambda: gs.a_opt_metric(basis, [0, 1], 2),
             lambda: gs.consistent_reconstruct(basis, [0, 1], [1.0, 1.0], band=2),
             lambda: gs.error_covariance(basis, [0, 1], 2),
             lambda: gs.verify_error_bound(basis, [0, 1], 2, np.ones(3)),
@@ -220,7 +225,7 @@ class TestOneSingularityRule:
                 call()
             assert type(info.value) is RankDeficientError
             payloads.append(info.value.sigma_min)
-        assert payloads == [pytest.approx(1e-17, rel=1e-6)] * 5
+        assert payloads == [pytest.approx(1e-17, rel=1e-6)] * 4
         assert len(set(payloads)) == 1
         assert gs.errors.SingularGramError is RankDeficientError
 
@@ -234,7 +239,9 @@ class TestOneSingularityRule:
         root = np.sqrt(inner.entries)
         # Q^{1/2} cov Q^{-1/2} is symmetric with the same eigenvalues
         top = np.linalg.eigvalsh(root[:, None] * cov / root[None, :])[-1]
-        assert np.trace(cov) == pytest.approx(gs.a_opt_metric(basis, sampled, 8), rel=1e-9)
+        # the mean-squared-error objective sum sigma^-2, from an SVD of the design written out
+        rows = root[sampled][:, None] * basis.modes[sampled][:, :8]
+        assert np.trace(cov) == pytest.approx(np.sum(np.linalg.svd(rows, compute_uv=False) ** -2.0), rel=1e-9)
         assert top == pytest.approx(gs.e_opt_metric(basis, sampled, 8) ** -2, rel=1e-9)
 
 
@@ -278,18 +285,18 @@ class TestErrorBound:
 
 
 class TestChebyshevSeries:
+    """The coefficients ``_cheb_coeffs`` of the logistic low-pass that PoCS filters with."""
+
     def test_midpoint_value_is_half(self):
         params = gs.PocsParams(omega=2.0, lambda_max=8.0, cheb_order=40)
-        series = gs.cheb_lowpass_series(params)
-        at_omega = gs.evaluate_cheb_series(series.coeffs, 8.0, np.array([2.0]))[0]
-        assert abs(at_omega - 0.5) <= series.max_grid_error + 1e-12
+        at_omega = gs.evaluate_cheb_series(_cheb_coeffs(params), 8.0, np.array([2.0]))[0]
+        assert abs(at_omega - 0.5) <= grid_error(params) + 1e-12
 
     def test_sharp_response_error_concentrates_at_cutoff(self):
         params = gs.PocsParams(omega=4.0, lambda_max=8.0, alpha=60.0, cheb_order=200)
-        series = gs.cheb_lowpass_series(params)
         grid = np.linspace(0.0, 8.0, 2001)
         err = np.abs(
-            gs.evaluate_cheb_series(series.coeffs, 8.0, grid)
+            gs.evaluate_cheb_series(_cheb_coeffs(params), 8.0, grid)
             - gs.lowpass_response(grid, 4.0, 60.0)
         )
         near = np.abs(grid - 4.0) <= 0.8
@@ -298,18 +305,18 @@ class TestChebyshevSeries:
 
     def test_order_zero_equals_chebyshev_mean(self):
         params = gs.PocsParams(omega=3.0, lambda_max=10.0, cheb_order=0)
-        series = gs.cheb_lowpass_series(params)
-        assert series.coeffs.shape == (1,)
+        coeffs = _cheb_coeffs(params)
+        assert coeffs.shape == (1,)
         # mean of the response under the Chebyshev measure, on a finer quadrature
         npts = 200001
         theta = np.pi * (np.arange(npts) + 0.5) / npts
         nodes = 0.5 * 10.0 * (np.cos(theta) + 1.0)
         oracle = gs.lowpass_response(nodes, 3.0, params.alpha).mean()
-        assert 0.5 * series.coeffs[0] == pytest.approx(oracle, abs=1e-8)
+        assert 0.5 * coeffs[0] == pytest.approx(oracle, abs=1e-8)
 
     def test_coefficient_count(self):
         params = gs.PocsParams(omega=1.0, lambda_max=4.0, cheb_order=25)
-        assert gs.cheb_lowpass_series(params).coeffs.shape == (26,)
+        assert _cheb_coeffs(params).shape == (26,)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 60])
     def test_cached_coefficients_are_bit_identical(self, order):
@@ -322,7 +329,6 @@ class TestChebyshevSeries:
         direct = (2.0 / npts) * (np.cos(np.outer(np.arange(order + 1), theta)) @ vals)
         for _ in range(2):
             np.testing.assert_array_equal(_cheb_coeffs(params), direct)
-        np.testing.assert_array_equal(gs.cheb_lowpass_series(params).coeffs, direct)
 
     def test_cached_table_is_read_only(self):
         theta, table = _cheb_table(60, 1000)
@@ -333,19 +339,20 @@ class TestChebyshevSeries:
 
     def test_grid_error_unchanged(self):
         params = gs.PocsParams(omega=2.0, lambda_max=8.0, cheb_order=60)
-        assert gs.cheb_lowpass_series(params).max_grid_error == pytest.approx(9.005659540017863e-05, rel=1e-12)
+        assert grid_error(params) == pytest.approx(9.005659540017863e-05, rel=1e-12)
 
 
 class TestApplyChebFilter:
+    """The recurrence filter ``_cheb_kernel`` that PoCS applies."""
+
     def test_constant_signal_gets_dc_response(self):
         _, g, lap = geometric_instance(seed=12, n=10, kernel_sigma=2.0)
         inner = gs.identity_inner_product(10)
         params = gs.PocsParams(omega=1.5, lambda_max=gs.estimate_lambda_max(lap, inner))
-        series = gs.cheb_lowpass_series(params)
         x = np.ones(10)
-        out = gs.apply_cheb_filter(lap, inner, series.coeffs, series.lambda_max, x)
+        out = _cheb_kernel(lap, inner, _cheb_coeffs(params), params.lambda_max)(x)
         dc = gs.lowpass_response(np.array([0.0]), params.omega, params.alpha)[0]
-        assert np.abs(out - dc * x).max() <= series.max_grid_error + 1e-9
+        assert np.abs(out - dc * x).max() <= grid_error(params) + 1e-9
 
     def test_matches_spectral_oracle(self, rng):
         pc, g, lap = geometric_instance(seed=13, n=20, kernel_sigma=2.0)
@@ -353,10 +360,10 @@ class TestApplyChebFilter:
         basis = gs.compute_basis(lap, inner)
         lam_max = gs.estimate_lambda_max(lap, inner)
         params = gs.PocsParams(omega=0.4 * lam_max, lambda_max=lam_max)
-        series = gs.cheb_lowpass_series(params)
+        coeffs = _cheb_coeffs(params)
         x = rng.standard_normal(20)
-        filtered = gs.apply_cheb_filter(lap, inner, series.coeffs, lam_max, x)
-        response = gs.evaluate_cheb_series(series.coeffs, lam_max, basis.frequencies)
+        filtered = _cheb_kernel(lap, inner, coeffs, lam_max)(x)
+        response = gs.evaluate_cheb_series(coeffs, lam_max, basis.frequencies)
         oracle = gs.synthesize(basis, response * gs.analyze(basis, x))
         assert np.abs(filtered - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())
 
@@ -364,7 +371,7 @@ class TestApplyChebFilter:
         _, g, lap = geometric_instance(seed=14, n=8)
         inner = gs.identity_inner_product(8)
         x = rng.standard_normal(8)
-        out = gs.apply_cheb_filter(lap, inner, np.array([2.0]), 5.0, x)
+        out = _cheb_kernel(lap, inner, np.array([2.0]), 5.0)(x)
         np.testing.assert_array_equal(out, x)
 
     @settings(max_examples=25, deadline=None)
@@ -373,12 +380,9 @@ class TestApplyChebFilter:
         _, g, lap = geometric_instance(seed=15, n=8)
         inner = gs.degree_matrix(g)
         params = gs.PocsParams(omega=0.5, lambda_max=2.2, cheb_order=20)
-        series = gs.cheb_lowpass_series(params)
+        filt = _cheb_kernel(lap, inner, _cheb_coeffs(params), 2.2)
         r = np.random.default_rng(0)
         x, y = r.standard_normal(8), r.standard_normal(8)
-
-        def filt(v):
-            return gs.apply_cheb_filter(lap, inner, series.coeffs, 2.2, v)
 
         left = filt(a * x + b * y)
         right = a * filt(x) + b * filt(y)
@@ -392,9 +396,9 @@ class TestChebKernelAgainstRecurrence:
         for inner in all_inners(g, pc).values():
             lam_max = gs.estimate_lambda_max(lap, inner)
             params = gs.PocsParams(omega=0.3 * lam_max, lambda_max=lam_max, cheb_order=order)
-            coeffs = gs.cheb_lowpass_series(params).coeffs
+            coeffs = _cheb_coeffs(params)
             x = rng.standard_normal(100)
-            out = gs.apply_cheb_filter(lap, inner, coeffs, lam_max, x)
+            out = _cheb_kernel(lap, inner, coeffs, lam_max)(x)
             oracle = recurrence_oracle(lap, inner, coeffs, lam_max, x)
             assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -479,11 +483,12 @@ class TestPocsReconstruct:
         # an order-2 series overshoots 1 near frequency 0, so with two samples
         # H_UU has an eigenvalue above 1 and I - H_UU is indefinite
         params = gs.PocsParams(omega=0.3 * lam_max, lambda_max=lam_max, cheb_order=2)
-        coeffs = gs.cheb_lowpass_series(params).coeffs
+        coeffs = _cheb_coeffs(params)
         assert gs.evaluate_cheb_series(coeffs, lam_max, np.linspace(0.0, lam_max, 1001)).max() > 1.0
         sampled = [0, 20]
         free = np.setdiff1d(np.arange(40), sampled)
-        h = np.column_stack([gs.apply_cheb_filter(lap, inner, coeffs, lam_max, e) for e in np.eye(40)])
+        lowpass = _cheb_kernel(lap, inner, coeffs, lam_max)
+        h = np.column_stack([lowpass(e) for e in np.eye(40)])
         assert np.linalg.eigvalsh(h[np.ix_(free, free)]).max() > 1.0
         report = gs.pocs_reconstruct(lap, inner, sampled, [1.0, -1.0], params)
         assert report.iters < params.max_iters

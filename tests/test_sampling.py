@@ -427,10 +427,12 @@ class TestEOptMetric:
 
 
 class TestAOptMetric:
+    """The A-optimal design objective ``sum sigma^-2``: the trace of ``error_covariance``."""
+
     def test_full_sampling_gives_band_size(self):
         pc, g, lap = geometric_instance(seed=20, n=8)
         basis = gs.compute_basis(lap, gs.voronoi_areas(pc))
-        assert gs.a_opt_metric(basis, np.arange(8), 5) == pytest.approx(5.0, abs=1e-9)
+        assert np.trace(gs.error_covariance(basis, np.arange(8), 5)) == pytest.approx(5.0, abs=1e-9)
 
     def test_matches_explicit_inverse(self):
         pc, g, lap = geometric_instance(seed=21, n=10)
@@ -440,20 +442,20 @@ class TestAOptMetric:
         u = basis.modes[sampled][:, :3]
         gram = u.T @ np.diag(inner.entries[sampled]) @ u
         oracle = np.trace(np.linalg.inv(gram))
-        assert gs.a_opt_metric(basis, sampled, 3) == pytest.approx(oracle, rel=1e-9)
+        assert np.trace(gs.error_covariance(basis, sampled, 3)) == pytest.approx(oracle, rel=1e-9)
 
     def test_singular_gram_rejected(self):
         # two disconnected triangles: both samples sit on one component
         lap = gs.combinatorial_laplacian(two_triangles())
         basis = gs.compute_basis(lap, gs.identity_inner_product(6))
         with pytest.raises(RankDeficientError):
-            gs.a_opt_metric(basis, [0, 1], 2)
+            gs.error_covariance(basis, [0, 1], 2)
 
     def test_fewer_samples_than_band_rejected(self):
         pc, g, lap = geometric_instance(seed=22, n=8)
         basis = gs.compute_basis(lap, gs.identity_inner_product(8))
         with pytest.raises(ValueError, match="band must lie in"):
-            gs.a_opt_metric(basis, [1, 4], 3)
+            gs.error_covariance(basis, [1, 4], 3)
 
     def test_singular_gram_reports_design_singular_value(self):
         # sampled rows diag(1, delta) of an orthogonal mode matrix: delta is
@@ -464,5 +466,5 @@ class TestAOptMetric:
         basis = gs.SpectralBasis(modes, np.array([0.0, 1.0, 2.0]), gs.identity_inner_product(3))
         oracle = np.linalg.svd(modes[:2, :2], compute_uv=False)[-1]
         with pytest.raises(RankDeficientError) as info:
-            gs.a_opt_metric(basis, [0, 1], 2)
+            gs.error_covariance(basis, [0, 1], 2)
         assert info.value.sigma_min == pytest.approx(oracle, rel=1e-6)
