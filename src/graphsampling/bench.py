@@ -20,9 +20,9 @@ from .graphs import (
     identity_inner_product,
     q_norm,
 )
-from .reconstruction import PocsParams, consistent_reconstruct, pocs_reconstruct
+from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct
 from .sampling import _greedy_from_basis, e_opt_metric
-from .spectral import compute_basis, estimate_lambda_max
+from .spectral import _lambda_max, compute_basis
 
 RECON_METHODS = ("closed-form", "pocs")
 
@@ -229,7 +229,7 @@ def run_mse_experiment(
 
     def block(out, data, lap, basis, selection, sizes):
         metric, truths, noisy = data
-        lam_max = estimate_lambda_max(lap, basis.inner) if method == "pocs" else None
+        lam_max = _lambda_max(basis)
         for si, size in enumerate(sizes):
             chosen = selection.head(size)
             omega = float(selection.cutoffs[size - 1])
@@ -242,7 +242,7 @@ def run_mse_experiment(
                             rep = consistent_reconstruct(basis, chosen, y, band=band)
                         else:
                             params = PocsParams(omega=min(omega, lam_max), lambda_max=lam_max)
-                            rep = pocs_reconstruct(lap, basis.inner, chosen, y, params)
+                            rep = _pocs_from_basis(basis, chosen, y, params)
                         err = q_norm(rep.x_hat - truths[c], metric)
                         if not np.isfinite(err):
                             err = np.nan

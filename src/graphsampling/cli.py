@@ -23,9 +23,9 @@ from .bench import (
 from .errors import GraphSamplingError, NotFiniteError
 from .geometry import GeoConfig, build_instance
 from .graphs import VARIANTS, InnerProduct, combinatorial_laplacian, graph_from_json, graph_to_json
-from .reconstruction import PocsParams, consistent_reconstruct, pocs_reconstruct
+from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct
 from .sampling import greedy_select
-from .spectral import compute_basis, estimate_lambda_max
+from .spectral import _lambda_max, compute_basis
 from .svgplot import line_chart
 
 _EXIT_OK = 0
@@ -109,6 +109,27 @@ def _truth(path: Path, n: int) -> np.ndarray:
             if np.isfinite(truth).all():
                 return truth
     raise ValueError(f"--truth {path}: expected a list of {n} finite numbers")
+
+
+def _samples(path: Path) -> tuple[list, list]:
+    """``--samples`` ids and values, checked before any work: equally long lists of integer ids and finite numbers."""
+    doc = _read_json(path)
+    vertices, values = (doc.get("vertices"), doc.get("values")) if isinstance(doc, dict) else (None, None)
+    if not (isinstance(vertices, list) and isinstance(values, list)):
+        problem = 'expected an object with lists "vertices" and "values"'
+    # numpy would take booleans as vertex ids and numeric strings as values
+    elif any(type(v) is not int for v in vertices):
+        problem = "vertex ids must be integers"
+    elif any(type(v) not in (int, float) for v in values):
+        problem = "values must be numbers"
+    elif len(vertices) != len(values):
+        problem = f"{len(vertices)} vertex ids but {len(values)} values"
+    else:
+        with contextlib.suppress(OverflowError):
+            if np.isfinite(np.asarray(values, dtype=float)).all():
+                return vertices, values
+        problem = "values must be finite numbers within the range of a double"
+    raise ValueError(f"--samples {path}: {problem}")
 
 
 def _progress(total: int):
@@ -218,30 +239,24 @@ def cmd_reconstruct(args) -> int:
         omega = float(_read_json(selection_path)["cutoffs"][-1])
     else:
         selection_path = None
-    samples = _read_json(Path(args.samples))
-    vertices, values = samples["vertices"], samples["values"]
-    # numpy would take booleans as vertex ids and numeric strings as values
-    if any(type(v) is not int for v in vertices) or any(type(v) not in (int, float) for v in values):
-        raise ValueError("samples must list integer vertex ids and numeric values")
+    vertices, values = _samples(Path(args.samples))
     truth = _truth(Path(args.truth), g.n) if args.truth else None
 
-    lap = combinatorial_laplacian(g)
     # floating-point warnings stay silent: a non-finite result is reported below as one error line
     with np.errstate(all="ignore"):
+        basis = compute_basis(combinatorial_laplacian(g), inner)
         if args.method == "closed-form":
-            basis = compute_basis(lap, inner)
             report = consistent_reconstruct(basis, vertices, values, band=args.band, truth=truth)
         else:
-            lam_max = estimate_lambda_max(lap, inner)
             params = PocsParams(
                 omega=omega,
-                lambda_max=lam_max,
+                lambda_max=_lambda_max(basis),
                 alpha=args.alpha,
                 cheb_order=args.cheb_order,
                 max_iters=args.max_iters,
                 rel_tol=args.rel_tol,
             )
-            report = pocs_reconstruct(lap, inner, vertices, values, params, truth=truth)
+            report = _pocs_from_basis(basis, vertices, values, params, truth=truth)
     # json.dumps would write NaN and Infinity, which are not JSON
     scalars = [v for v in (report.residual_s, report.q_error, report.last_rel_change) if v is not None]
     if not (np.isfinite(report.x_hat).all() and np.isfinite(scalars).all()):
@@ -379,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--band", type=int, default=None, help="modes to fit (closed form)")
     rec.add_argument("--omega", type=_finite, default=None, help="low-pass cutoff (default: final selection cutoff)")
     rec.add_argument("--alpha", type=_finite, default=None, help="low-pass sharpness")
-    rec.add_argument("--cheb-order", type=int, default=60, help="PoCS filter order: operator products per application")
+    rec.add_argument("--cheb-order", type=int, default=60, help="PoCS filter order: degree of the Chebyshev series")
     rec.add_argument("--max-iters", type=int, default=500, help="PoCS bound on filter applications (iters)")
     rec.add_argument(
         "--rel-tol", type=_finite, default=1e-8, help="PoCS bound on the relative change one more sweep would make"

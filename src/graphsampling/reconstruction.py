@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptyVertexSetError, RankDeficientError
 from .graphs import InnerProduct, _freeze, q_norm, vertex_set
-from .spectral import SpectralBasis, bandlimit_split
+from .spectral import SpectralBasis, bandlimit_split, compute_basis
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,11 @@ class PocsParams:
     ``alpha`` controls the sharpness of the logistic response
     ``1 / (1 + exp(alpha * (freq - omega)))``; when omitted it is set so the
     response falls from 0.92 to 0.08 over 10% of ``[0, lambda_max]``.
-    ``max_iters`` bounds the filter applications of one reconstruction, each
-    ``cheb_order`` operator products; ``rel_tol`` bounds the weighted norm of
-    the change one more filter-and-resample step would make, relative to the
-    iterate's norm.
+    ``cheb_order`` is the degree of the Chebyshev series of that response on
+    ``[0, lambda_max]``; the series is evaluated at the graph frequencies.
+    ``max_iters`` bounds the filter applications of one reconstruction;
+    ``rel_tol`` bounds the weighted norm of the change one more
+    filter-and-resample step would make, relative to the iterate's norm.
     """
 
     omega: float
@@ -239,34 +240,20 @@ def _cheb_coeffs(params: PocsParams) -> np.ndarray:
     return (2.0 / npts) * (table @ vals)
 
 
-def _cheb_kernel(variation, inner: InnerProduct, coeffs, lambda_max: float):
-    """Filter function for a Chebyshev series, built once for many signals.
+def _spectral_filter(basis: SpectralBasis, coeffs, lambda_max: float):
+    """Filter function for a Chebyshev series, applied through the eigenbasis and built once for many signals.
 
-    The recurrence operator ``2 ((2 / lambda_max) Q^-1 L - I)`` is formed once,
-    with the sparsity of ``L``; each call then fills one term per row of a
-    preallocated buffer, one matrix-vector product and one subtraction per
-    term, and returns the weighted sum of the rows.
+    The series is evaluated at the frequencies, ``r = p(lambda)``, so the filter
+    is ``x -> U (r * (U^T Q x))``: the same operator as the series in ``Q^-1 L``
+    up to roundoff. The two mode matrices are scaled once, by ``r`` and by
+    ``Q``, so each call costs two matrix-vector products.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    weights = coeffs.copy()
-    weights[0] *= 0.5
-    op = (4.0 / lambda_max) * (np.asarray(variation, dtype=float) / inner.entries[:, None])
-    op[np.diag_indices(inner.n)] -= 2.0
-    terms = np.empty((coeffs.size, inner.n))
-    # row views and the bound product are made once: at n = 100, indexing the
-    # buffer anew for every term costs half as much as the product itself
-    rows = list(terms)
-    product = op.dot
+    response = evaluate_cheb_series(coeffs, lambda_max, basis.frequencies)
+    synthesis = basis.modes * response
+    analysis = (basis.modes * basis.inner.entries[:, None]).T
 
     def apply(x: np.ndarray) -> np.ndarray:
-        rows[0][:] = x
-        if len(rows) > 1:
-            product(rows[0], out=rows[1])
-            rows[1] *= 0.5
-        for before, last, nxt in zip(rows, rows[1:], rows[2:]):
-            product(last, out=nxt)
-            nxt -= before
-        return weights @ terms
+        return synthesis @ (analysis @ x)
 
     return apply
 
@@ -290,9 +277,11 @@ def pocs_reconstruct(
     imposed. The CG residual ``(H x)_U - x_U`` is the change one more
     PoCS sweep would make; the solve stops once its weighted norm is at most
     ``rel_tol`` times the weighted norm of the iterate, or after
-    ``max_iters`` filter applications. The report's ``iters`` counts filter
-    applications, each ``cheb_order`` operator products, and
-    ``last_rel_change`` is the final relative residual.
+    ``max_iters`` filter applications. ``H`` is the Chebyshev series of the
+    low-pass evaluated at the frequencies of :func:`compute_basis`
+    ``(variation, inner)`` and applied through its modes, two matrix-vector
+    products per application. The report's ``iters`` counts filter
+    applications, and ``last_rel_change`` is the final relative residual.
 
     Slow convergence is not an error: the report then carries
     ``last_rel_change > rel_tol``. So does a curvature break: a search
@@ -301,8 +290,14 @@ def pocs_reconstruct(
     the current iterate is returned. The samples are never changed, so the
     reported residual on the sampled vertices is always zero.
     """
+    return _pocs_from_basis(compute_basis(variation, inner), sampled, values, params, truth=truth)
+
+
+def _pocs_from_basis(basis: SpectralBasis, sampled, values, params: PocsParams, truth=None) -> ReconstructionReport:
+    """:func:`pocs_reconstruct` with the basis of ``(variation, inner)`` already computed."""
+    inner = basis.inner
     s, y = _paired_samples(sampled, values, inner.n)
-    lowpass = _cheb_kernel(variation, inner, _cheb_coeffs(params), params.lambda_max)
+    lowpass = _spectral_filter(basis, _cheb_coeffs(params), params.lambda_max)
 
     x = np.zeros(inner.n)
     x[s] = y

@@ -120,21 +120,23 @@ def bandlimit_split(basis: SpectralBasis, x, modes_kept: int):
     return low, x - low
 
 
+def _lambda_max(basis: SpectralBasis) -> float:
+    """The top frequency of ``basis`` inflated by 1%, clamped at 0: a polynomial-filter interval end."""
+    return 1.01 * max(float(basis.frequencies[-1]), 0.0)
+
+
 def estimate_lambda_max(variation: np.ndarray, inner: InnerProduct) -> float:
     """Upper bound on the largest frequency, for a polynomial-filter interval end.
 
-    The top eigenvalue of the symmetrized operator, from the same problem
-    :func:`compute_basis` solves, inflated by 1%. The eigensolver's backward
-    error of about ``n eps ||B||`` lies far inside that margin. A zero
-    operator gives 0.0.
+    The top frequency of :func:`compute_basis` ``(variation, inner)``,
+    inflated by 1%. The eigensolver's backward error of about
+    ``n eps ||B||`` lies far inside that margin. A zero operator gives 0.0.
 
     Raises
     ------
     NotFiniteError
         If the input contains non-finite values or the eigensolver fails.
+    ValueError
+        If the operator is not positive semidefinite, as :func:`compute_basis` does.
     """
-    try:
-        top = float(np.linalg.eigvalsh(_symmetrized(variation, inner))[-1])
-    except np.linalg.LinAlgError as exc:
-        raise NotFiniteError("eigensolver failed to converge") from exc
-    return 1.01 * max(top, 0.0)
+    return _lambda_max(compute_basis(variation, inner))

@@ -80,6 +80,32 @@ class TestMseExperiment:
         table = gs.run_mse_experiment(cfg, 1, [0.4], [2], [0.1], method="pocs", variants=("degree",))
         assert np.isfinite(table.rows[0].mean_value)
 
+    def test_pocs_cells_equal_the_public_calls_bit_for_bit(self):
+        # the experiment filters through the basis it selected with; the public calls compute their own
+        cfg = gs.GeoConfig(n=30, seed=5, kernel_sigma=1.5)
+        fracs, cycles, sigmas = [0.3, 0.6], [2, 3], [0.1, 0.2]
+        table = gs.run_mse_experiment(cfg, 1, fracs, cycles, sigmas, method="pocs")
+        rng = gs.realization_rng(cfg.seed, 0)
+        pc, g, lap = gs.build_instance(cfg, rng)
+        metric = gs.voronoi_areas(pc)
+        truths = {c: gs.sinewave_signal(pc, c) for c in cycles}
+        noisy = {(c, s): gs.add_noise(truths[c], s, rng) for c in cycles for s in sigmas}
+        sizes = gs.sample_sizes(cfg.n, fracs)
+        expected = []
+        for variant in gs.VARIANTS:
+            inner = gs.inner_for_variant(variant, g, pc)
+            lam_max = gs.estimate_lambda_max(lap, inner)
+            selection = gs.greedy_select(lap, inner, sizes[-1], k=cfg.proxy_k)
+            for c in cycles:
+                for s in sigmas:
+                    for size in sizes:
+                        chosen = selection.head(size)
+                        omega = min(float(selection.cutoffs[size - 1]), lam_max)
+                        params = gs.PocsParams(omega=omega, lambda_max=lam_max)
+                        rep = gs.pocs_reconstruct(lap, inner, chosen, noisy[c, s][chosen], params)
+                        expected.append(gs.q_norm(rep.x_hat - truths[c], metric))
+        assert [row.mean_value for row in table.rows] == expected
+
     def test_metric_independent_of_selection_variant(self):
         # the error metric weights are the cell areas for every variant row
         cfg = gs.GeoConfig(n=12, seed=30, kernel_sigma=2.0)

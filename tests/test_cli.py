@@ -524,12 +524,57 @@ def test_bad_truth_is_named_before_any_work(tmp_path, capsys, monkeypatch, metho
     def no_work(*args, **kwargs):
         raise AssertionError("ran before the truth file was checked")
 
+    # the command's one eigensolver call
     monkeypatch.setattr(cli, "compute_basis", no_work)
-    monkeypatch.setattr(cli, "estimate_lambda_max", no_work)
     argv = ["reconstruct", "--dir", str(tmp_path), "--q", "degree", "--method", method, "--omega", "0.5"]
     assert main(argv + ["--samples", str(tmp_path / "samples.json"), "--truth", str(truth)]) == 2
     assert capsys.readouterr().err == f"error: --truth {truth}: expected a list of 24 finite numbers\n"
     assert not (tmp_path / "reconstruction.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[1, 2]", 'expected an object with lists "vertices" and "values"'),
+        ('{"vertices": [true, 1], "values": [1.0, 2.0]}', "vertex ids must be integers"),
+        ('{"vertices": [0, 1], "values": ["1.0", 2.0]}', "values must be numbers"),
+        ('{"vertices": [0, 1, 2], "values": [1.0, 2.0]}', "3 vertex ids but 2 values"),
+        ('{"vertices": [0, 1], "values": [NaN, 2.0]}', "values must be finite numbers within the range of a double"),
+        ('{"vertices": [0, 1], "values": [1' + "0" * 400 + ', 2.0]}',
+         "values must be finite numbers within the range of a double"),
+    ],
+    ids=["list", "boolean-id", "string-value", "unequal-lengths", "nan-value", "int-beyond-double"],
+)
+def test_bad_samples_are_named_before_any_work(tmp_path, capsys, monkeypatch, text, problem):
+    gen(tmp_path, "--q", "degree")
+    samples = tmp_path / "samples.json"
+    samples.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the samples file was checked")
+
+    monkeypatch.setattr(cli, "compute_basis", no_work)
+    assert main(["reconstruct", "--dir", str(tmp_path), "--q", "degree", "--samples", str(samples)]) == 2
+    assert capsys.readouterr().err == f"error: --samples {samples}: {problem}\n"
+    assert not (tmp_path / "reconstruction.json").exists()
+
+
+def test_pocs_x_hat_equals_the_public_call(tmp_path):
+    assert main(["gen", "--n", "30", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert main(["select", "--dir", str(tmp_path), "--m", "9"]) == 0
+    selection = read_json(tmp_path / "selection_voronoi.json")
+    vertices = selection["order"]
+    values = np.sin(np.arange(len(vertices))).tolist()
+    with open(tmp_path / "samples.json", "w", encoding="utf-8") as fh:
+        json.dump({"vertices": vertices, "values": values}, fh)
+    argv = ["reconstruct", "--dir", str(tmp_path), "--samples", str(tmp_path / "samples.json"), "--method", "pocs"]
+    assert main(argv) == 0
+    lap = gs.combinatorial_laplacian(gs.graph_from_json(read_json(tmp_path / "graph.json")))
+    inner = gs.InnerProduct("voronoi", np.asarray(read_json(tmp_path / "q_voronoi.json")["entries"]))
+    params = gs.PocsParams(omega=selection["cutoffs"][-1], lambda_max=gs.estimate_lambda_max(lap, inner))
+    report = gs.pocs_reconstruct(lap, inner, vertices, values, params)
+    assert read_json(tmp_path / "reconstruction.json")["x_hat"] == report.x_hat.tolist()
 
 
 # left out of every manifest: argparse's own fields, and the worker count, on which no output depends

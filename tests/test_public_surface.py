@@ -15,8 +15,6 @@ CALLERS = [
     *sorted((ROOT / "perfbench").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
-# exported although nothing above runs it: the filter tests compare the Chebyshev recurrence against it
-EXEMPT = {"evaluate_cheb_series"}
 
 
 def _defines(node: ast.stmt, name: str) -> bool:
@@ -36,7 +34,7 @@ def _without_own_definition(path: Path, name: str) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("name", sorted(set(gs.__all__) - EXEMPT))
+@pytest.mark.parametrize("name", sorted(gs.__all__))
 def test_every_export_has_a_caller(name):
     word = re.compile(rf"\b{re.escape(name)}\b")
     assert any(word.search(_without_own_definition(path, name)) for path in CALLERS), (
