@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -20,8 +21,8 @@ from .graphs import (
     identity_inner_product,
     q_norm,
 )
-from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct
-from .sampling import _greedy_from_basis, e_opt_metric
+from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct, e_opt_metric
+from .sampling import _greedy_from_basis
 from .spectral import _lambda_max, compute_basis
 
 RECON_METHODS = ("closed-form", "pocs")
@@ -89,6 +90,8 @@ class ResultTable:
 
 def _run_realizations(realizations: int, worker: Callable[[int], np.ndarray], workers: int):
     """Evaluate realizations, preserving index order for stable aggregation."""
+    # more threads than cores, or than realizations, would only contend
+    workers = min(workers, realizations, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, range(realizations)))
@@ -125,7 +128,7 @@ def _sweep(
     Per realization: one instance from its own stream, each variant's inner
     product, ``draw(rng, pc, inners)`` for the driver's own data, then per
     variant one basis and one greedy selection up to the largest size, whose
-    cells ``block(out, data, lap, basis, selection, sizes)`` fills into
+    cells ``block(out, data, basis, selection, sizes)`` fills into
     ``out[cycle, sigma, size]``. The bound table is the ``(None,) x (None,)`` grid.
     """
     if realizations < 1:
@@ -146,7 +149,7 @@ def _sweep(
         for vi, variant in enumerate(variants):
             basis = compute_basis(lap, inners[variant])
             selection = _greedy_from_basis(basis, sizes[-1], cfg.proxy_k)
-            block(cells[vi], data, lap, basis, selection, sizes)
+            block(cells[vi], data, basis, selection, sizes)
         if progress is not None:
             progress(idx)
         return cells
@@ -175,7 +178,7 @@ def run_bound_experiment(
     for a fixed ``cfg.seed``, including under ``workers > 1``.
     """
 
-    def block(out, data, lap, basis, selection, sizes):
+    def block(out, data, basis, selection, sizes):
         for si, size in enumerate(sizes):
             try:
                 out[0, 0, si] = e_opt_metric(basis, selection.head(size), size)
@@ -227,7 +230,7 @@ def run_mse_experiment(
         noisy = {(c, s): add_noise(truths[c], s, rng) for c in cycles for s in sigmas}
         return metric, truths, noisy
 
-    def block(out, data, lap, basis, selection, sizes):
+    def block(out, data, basis, selection, sizes):
         metric, truths, noisy = data
         lam_max = _lambda_max(basis)
         for si, size in enumerate(sizes):

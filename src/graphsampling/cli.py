@@ -71,9 +71,21 @@ def _write_json(path: Path, payload: dict, indent: int | None = 2) -> None:
     path.write_text(json.dumps(payload, indent=indent) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path, parse):
+    """``parse`` of the JSON document in ``path``: the one reader of an input file.
+
+    A file that is not JSON, or whose document ``parse`` rejects, raises one
+    ``ValueError`` that names the file. A missing file raises ``FileNotFoundError``.
+    """
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except KeyError as exc:
+            raise ValueError(f"{path}: no field {exc}") from None
+        except (TypeError, IndexError) as exc:
+            raise ValueError(f"{path}: wrong JSON shape ({exc})") from None
 
 
 def _out_dir(text: str) -> Path:
@@ -94,42 +106,28 @@ def _out_file(text: str) -> Path:
     return out
 
 
-def _load_inner(directory: Path, variant: str) -> InnerProduct:
-    data = _read_json(directory / f"q_{variant}.json")
-    return InnerProduct(data["variant"], np.asarray(data["entries"], dtype=float))
-
-
-def _truth(path: Path, n: int) -> np.ndarray:
-    """``--truth`` values, checked before any work: a list of ``n`` finite numbers."""
-    values = _read_json(path)["values"]
-    # as for samples, booleans and numeric strings are not numbers
-    if isinstance(values, list) and len(values) == n and all(type(v) in (int, float) for v in values):
+def _numbers(values, count: int | None = None) -> np.ndarray:
+    """``values`` as floats, if it is a JSON list of finite numbers within the range of a double, ``count`` if given."""
+    # numpy would take booleans and numeric strings as numbers
+    if isinstance(values, list) and count in (None, len(values)) and all(type(v) in (int, float) for v in values):
         with contextlib.suppress(OverflowError):
-            truth = np.asarray(values, dtype=float)
-            if np.isfinite(truth).all():
-                return truth
-    raise ValueError(f"--truth {path}: expected a list of {n} finite numbers")
+            out = np.asarray(values, dtype=float)
+            if np.isfinite(out).all():
+                return out
+    raise ValueError(f"expected a list of {'' if count is None else f'{count} '}finite numbers")
 
 
-def _samples(path: Path) -> tuple[list, list]:
-    """``--samples`` ids and values, checked before any work: equally long lists of integer ids and finite numbers."""
-    doc = _read_json(path)
-    vertices, values = (doc.get("vertices"), doc.get("values")) if isinstance(doc, dict) else (None, None)
-    if not (isinstance(vertices, list) and isinstance(values, list)):
-        problem = 'expected an object with lists "vertices" and "values"'
-    # numpy would take booleans as vertex ids and numeric strings as values
-    elif any(type(v) is not int for v in vertices):
-        problem = "vertex ids must be integers"
-    elif any(type(v) not in (int, float) for v in values):
-        problem = "values must be numbers"
-    elif len(vertices) != len(values):
-        problem = f"{len(vertices)} vertex ids but {len(values)} values"
-    else:
-        with contextlib.suppress(OverflowError):
-            if np.isfinite(np.asarray(values, dtype=float)).all():
-                return vertices, values
-        problem = "values must be finite numbers within the range of a double"
-    raise ValueError(f"--samples {path}: {problem}")
+def _inner(doc) -> InnerProduct:
+    return InnerProduct(doc["variant"], _numbers(doc["entries"]))
+
+
+def _samples(doc) -> tuple[list, np.ndarray]:
+    """``--samples`` ids and values: a list of integer ids and as many finite numbers."""
+    vertices = doc["vertices"]
+    # numpy would take booleans as vertex ids
+    if not (isinstance(vertices, list) and all(type(v) is int for v in vertices)):
+        raise ValueError('"vertices" must be a list of integers')
+    return vertices, _numbers(doc["values"], len(vertices))
 
 
 def _progress(total: int):
@@ -209,8 +207,8 @@ def cmd_gen(args) -> int:
 def cmd_select(args) -> int:
     directory = Path(args.dir)
     out = _out_file(args.out) if args.out else directory / f"selection_{args.q}.json"
-    g = graph_from_json(_read_json(directory / "graph.json"))
-    inner = _load_inner(directory, args.q)
+    g = _read_json(directory / "graph.json", graph_from_json)
+    inner = _read_json(directory / f"q_{args.q}.json", _inner)
     result = greedy_select(combinatorial_laplacian(g), inner, args.m, k=args.k)
     _write_json(
         out,
@@ -230,17 +228,17 @@ def cmd_select(args) -> int:
 def cmd_reconstruct(args) -> int:
     directory = Path(args.dir)
     out = _out_file(args.out) if args.out else directory / "reconstruction.json"
-    g = graph_from_json(_read_json(directory / "graph.json"))
-    inner = _load_inner(directory, args.q)
+    g = _read_json(directory / "graph.json", graph_from_json)
+    inner = _read_json(directory / f"q_{args.q}.json", _inner)
     selection_path = Path(args.selection) if args.selection else directory / f"selection_{args.q}.json"
     # only PoCS uses the selection, for its default cutoff
     omega = args.omega
     if args.method == "pocs" and omega is None:
-        omega = float(_read_json(selection_path)["cutoffs"][-1])
+        omega = float(_read_json(selection_path, lambda doc: _numbers(doc["cutoffs"])[-1]))
     else:
         selection_path = None
-    vertices, values = _samples(Path(args.samples))
-    truth = _truth(Path(args.truth), g.n) if args.truth else None
+    vertices, values = _read_json(Path(args.samples), _samples)
+    truth = _read_json(Path(args.truth), lambda doc: _numbers(doc["values"], g.n)) if args.truth else None
 
     # floating-point warnings stay silent: a non-finite result is reported below as one error line
     with np.errstate(all="ignore"):
@@ -429,11 +427,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return _EXIT_MISSING_INPUT
-    # bad input: malformed JSON or JSON of the wrong shape, numbers beyond a double,
-    # out-of-range values and the library's ValueError subclasses
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
-        detail = f"an input file has the wrong JSON shape ({exc!r})" if isinstance(exc, (TypeError, KeyError)) else exc
-        print(f"error: {detail}", file=sys.stderr)
+    # bad input: a bad flag value, an input file ``_read_json`` rejected, and the library's ValueError subclasses
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except GraphSamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)

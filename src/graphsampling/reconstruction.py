@@ -74,6 +74,22 @@ def _svd(a: np.ndarray, compute_uv: bool = False):
     return out
 
 
+def e_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
+    """Smallest singular value of the weighted sampled-mode matrix.
+
+    Larger is better: its inverse bounds both the noise amplification and
+    the model-mismatch amplification of reconstruction from ``sampled``
+    using the first ``band`` modes.
+
+    Raises
+    ------
+    RankDeficientError
+        If the sampling set cannot see the band: ``sigma_min <= |S| eps sigma_max``.
+    """
+    a = _design(basis, sampled, band)[3]
+    return float(_svd(a)[-1])
+
+
 def _fit(basis: SpectralBasis, a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares synthesis ``U_band a^+ rhs`` of weighted samples, and ``sigma_min(a)``.
 

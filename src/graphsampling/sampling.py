@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import EmptyVertexSetError, InvalidTargetError, ZeroSignalError
 from .graphs import InnerProduct, _freeze, complement, q_norm, vertex_set
-from .reconstruction import _design, _svd
 from .spectral import SpectralBasis, compute_basis
 
 DEFAULT_PROXY_ORDER = 3
@@ -331,20 +330,3 @@ def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
             break
         i = int(np.argmax(np.abs(z / np.sqrt(q[held]))))
     return SamplingResult(np.asarray(order), np.asarray(cutoffs))
-
-
-def e_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
-    """Smallest singular value of the weighted sampled-mode matrix.
-
-    Larger is better: its inverse bounds both the noise amplification and
-    the model-mismatch amplification of reconstruction from ``sampled``
-    using the first ``band`` modes.
-
-    Raises
-    ------
-    RankDeficientError
-        If the sampling set cannot see the band: ``sigma_min <= |S| eps sigma_max``.
-    """
-    a = _design(basis, sampled, band)[3]
-    return float(_svd(a)[-1])
-

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import graphsampling as gs
+from graphsampling import bench
 from graphsampling.bench import CSV_COLUMNS, _mean_rows
 
 
@@ -171,3 +172,31 @@ def test_realization_rng_streams_are_independent_and_stable():
     again = gs.realization_rng(7, 0).uniform(size=4)
     assert a.tobytes() == again.tobytes()
     assert a.tobytes() != b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cores, realizations, workers, pool",
+    [(2, 200, 200, 2), (8, 3, 200, 3), (8, 200, 4, 4), (None, 200, 200, None), (1, 5, 4, None)],
+    ids=["cores", "realizations", "workers", "unknown-cores", "one-core"],
+)
+def test_worker_pool_is_clamped_to_cores_and_realizations(monkeypatch, cores, realizations, workers, pool):
+    """No more threads than cores or pending realizations; one worker runs in the calling thread, without a pool."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", RecordingPool)
+    assert bench._run_realizations(realizations, lambda idx: idx, workers) == list(range(realizations))
+    assert sizes == ([] if pool is None else [pool])

@@ -528,20 +528,19 @@ def test_bad_truth_is_named_before_any_work(tmp_path, capsys, monkeypatch, metho
     monkeypatch.setattr(cli, "compute_basis", no_work)
     argv = ["reconstruct", "--dir", str(tmp_path), "--q", "degree", "--method", method, "--omega", "0.5"]
     assert main(argv + ["--samples", str(tmp_path / "samples.json"), "--truth", str(truth)]) == 2
-    assert capsys.readouterr().err == f"error: --truth {truth}: expected a list of 24 finite numbers\n"
+    assert capsys.readouterr().err == f"error: {truth}: expected a list of 24 finite numbers\n"
     assert not (tmp_path / "reconstruction.json").exists()
 
 
 @pytest.mark.parametrize(
     "text, problem",
     [
-        ("[1, 2]", 'expected an object with lists "vertices" and "values"'),
-        ('{"vertices": [true, 1], "values": [1.0, 2.0]}', "vertex ids must be integers"),
-        ('{"vertices": [0, 1], "values": ["1.0", 2.0]}', "values must be numbers"),
-        ('{"vertices": [0, 1, 2], "values": [1.0, 2.0]}', "3 vertex ids but 2 values"),
-        ('{"vertices": [0, 1], "values": [NaN, 2.0]}', "values must be finite numbers within the range of a double"),
-        ('{"vertices": [0, 1], "values": [1' + "0" * 400 + ', 2.0]}',
-         "values must be finite numbers within the range of a double"),
+        ("[1, 2]", "wrong JSON shape (list indices must be integers or slices, not str)"),
+        ('{"vertices": [true, 1], "values": [1.0, 2.0]}', '"vertices" must be a list of integers'),
+        ('{"vertices": [0, 1], "values": ["1.0", 2.0]}', "expected a list of 2 finite numbers"),
+        ('{"vertices": [0, 1, 2], "values": [1.0, 2.0]}', "expected a list of 3 finite numbers"),
+        ('{"vertices": [0, 1], "values": [NaN, 2.0]}', "expected a list of 2 finite numbers"),
+        ('{"vertices": [0, 1], "values": [1' + "0" * 400 + ', 2.0]}', "expected a list of 2 finite numbers"),
     ],
     ids=["list", "boolean-id", "string-value", "unequal-lengths", "nan-value", "int-beyond-double"],
 )
@@ -556,7 +555,7 @@ def test_bad_samples_are_named_before_any_work(tmp_path, capsys, monkeypatch, te
 
     monkeypatch.setattr(cli, "compute_basis", no_work)
     assert main(["reconstruct", "--dir", str(tmp_path), "--q", "degree", "--samples", str(samples)]) == 2
-    assert capsys.readouterr().err == f"error: --samples {samples}: {problem}\n"
+    assert capsys.readouterr().err == f"error: {samples}: {problem}\n"
     assert not (tmp_path / "reconstruction.json").exists()
 
 
@@ -608,15 +607,31 @@ def test_manifest_records_every_flag_in_parser_order(tmp_path, argv, output):
     assert list(manifest["parameters"]) == recorded
 
 
+POCS = ["reconstruct", "--method", "pocs"]
+
+
 @pytest.mark.parametrize(
     "name, text, argv",
     [
         ("graph.json", "[]", ["select", "--m", "4"]),
         ("graph.json", '{"n": 3, "edges": 5}', ["select", "--m", "4"]),
+        ("graph.json", "not json", ["select", "--m", "4"]),
         ("q_degree.json", "[]", ["select", "--m", "4"]),
-        ("selection_degree.json", '{"cutoffs": 5}', ["reconstruct", "--method", "pocs"]),
+        ("q_degree.json", "not json", ["reconstruct"]),
+        ("q_degree.json", '{"variant": "degree", "entries": [' + ", ".join(["true"] * 24) + "]}", ["select", "--m", "4"]),
+        ("q_degree.json", '{"variant": "degree", "entries": [' + ", ".join(['"1.0"'] * 24) + "]}", ["reconstruct"]),
+        ("q_degree.json", '{"variant": "degree"}', ["select", "--m", "4"]),
+        ("selection_degree.json", '{"cutoffs": 5}', POCS),
+        ("selection_degree.json", "not json", POCS),
+        ("selection_degree.json", '{"cutoffs": []}', POCS),
+        ("selection_degree.json", '{"cutoffs": [true]}', POCS),
+        ("selection_degree.json", '{"cutoffs": ["0.5"]}', POCS),
     ],
-    ids=["graph-list", "graph-edges-number", "inner-list", "cutoffs-number"],
+    ids=[
+        "graph-list", "graph-edges-number", "graph-not-json", "inner-list", "inner-not-json", "inner-booleans",
+        "inner-strings", "inner-no-entries", "cutoffs-number", "selection-not-json", "cutoffs-empty",
+        "cutoffs-boolean", "cutoffs-string",
+    ],
 )
 def test_malformed_input_file_exits_two(tmp_path, capsys, name, text, argv):
     gen(tmp_path, "--q", "degree")
@@ -627,7 +642,19 @@ def test_malformed_input_file_exits_two(tmp_path, capsys, name, text, argv):
     capsys.readouterr()
     assert main(argv + ["--q", "degree", "--dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path / name}: ") and err.count("\n") == 1
+
+
+def test_library_type_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    gen(tmp_path, "--q", "degree")
+
+    def broken(*args, **kwargs):
+        raise TypeError("a library fault")
+
+    # only a ValueError means bad input; any other error is a fault and ends in a traceback
+    monkeypatch.setattr(cli, "greedy_select", broken)
+    with pytest.raises(TypeError, match="a library fault"):
+        main(["select", "--dir", str(tmp_path), "--q", "degree", "--m", "4"])
 
 
 JSON_SCALARS = (
