@@ -29,7 +29,7 @@ from .spectral import _lambda_max, compute_basis
 from .svgplot import line_chart
 
 _EXIT_OK = 0
-_EXIT_MISSING_INPUT = 1
+_EXIT_FILE_ERROR = 1
 _EXIT_USAGE = 2
 _EXIT_NUMERICAL = 3
 _EXIT_BENCH_FAILED = 4
@@ -67,15 +67,16 @@ def _manifest(command: str, args: argparse.Namespace, **resolved) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict, indent: int | None = 2) -> None:
-    path.write_text(json.dumps(payload, indent=indent) + "\n", encoding="utf-8")
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _read_json(path: Path, parse):
     """``parse`` of the JSON document in ``path``: the one reader of an input file.
 
     A file that is not JSON, or whose document ``parse`` rejects, raises one
-    ``ValueError`` that names the file. A missing file raises ``FileNotFoundError``.
+    ``ValueError`` that names the file. A path that cannot be opened as a file
+    raises the ``OSError`` of ``open``, which names it.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -195,8 +196,8 @@ def cmd_gen(args) -> int:
     # created only now, so a rejected or failed run leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "points.json", {"side": pc.side, "positions": pc.positions.tolist()})
-    # up to n(n-1)/2 edge triples: without indentation the file is 45% smaller and 3x faster to write
-    _write_json(out / "graph.json", graph_to_json(g), indent=None)
+    # the weights as one base64 block of 16n(n-1)/3 bytes: 0.85 MB at n=400
+    _write_json(out / "graph.json", graph_to_json(g))
     for inner in inners:
         _write_json(out / f"q_{inner.variant}.json", {"variant": inner.variant, "entries": inner.entries.tolist()})
     _write_json(out / "manifest.json", _manifest("gen", args, q=variants, out=str(out)))
@@ -424,9 +425,10 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing input: {exc}", file=sys.stderr)
-        return _EXIT_MISSING_INPUT
+    # a missing input file, a path that is not a readable file, such as a directory, or a failed write
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_FILE_ERROR
     # bad input: a bad flag value, an input file ``_read_json`` rejected, and the library's ValueError subclasses
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

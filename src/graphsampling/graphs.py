@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -151,33 +151,36 @@ def q_norm(x, inner: InnerProduct) -> float:
 
 
 def graph_to_json(g: Graph) -> dict:
-    """JSON-friendly dict ``{"n": ..., "edges": [[i, j, w], ...]}`` with i < j."""
-    iu, ju = np.nonzero(np.triu(g.weights, k=1))
-    edges = [[int(i), int(j), float(g.weights[i, j])] for i, j in zip(iu, ju)]
-    return {"n": g.n, "edges": edges}
+    """JSON-friendly dict ``{"n": n, "upper_f8le": "<base64>"}``.
+
+    The payload is the strict upper triangle of the weights, row by row
+    (``np.triu_indices(n, 1)`` order), as little-endian float64 bytes in
+    base64, so the weights round-trip bit for bit.
+    """
+    upper = g.weights[np.triu_indices(g.n, 1)].astype("<f8")
+    return {"n": g.n, "upper_f8le": base64.b64encode(upper.tobytes()).decode("ascii")}
 
 
 def graph_from_json(data: dict) -> Graph:
-    """Rebuild a graph from its JSON dict, symmetrizing the listed edges.
+    """Rebuild a graph from the dict of ``graph_to_json``, mirroring the upper triangle.
 
-    Each edge may be listed once; a repeated ``(i, j)`` pair is rejected
-    rather than silently overwriting the earlier weight, and a fractional
-    ``n`` or vertex id rather than truncated.
+    A size that is not a positive integer, a payload that is not a base64
+    string, or one whose byte count does not match the size is rejected.
     """
-    n, edges = float(data["n"]), data["edges"]
-    if any(len(edge) != 3 for edge in edges):
-        raise ValueError("edges must be [i, j, weight] triples")
-    i, j, vals = np.fromiter(chain.from_iterable(edges), dtype=float, count=3 * len(edges)).reshape(-1, 3).T
-    # a NaN or infinite size leaves a NaN remainder, a NaN id fails the comparison,
-    # and an infinite id fails the range check below
-    if n % 1 or np.any(i != np.floor(i)) or np.any(j != np.floor(j)):
-        raise ValueError("graph size and vertex ids must be integers")
-    if not np.all((0 <= i) & (i < j) & (j < n)):
-        raise ValueError("edges must satisfy 0 <= i < j < n")
-    n, rows, cols = int(n), i.astype(np.intp), j.astype(np.intp)
-    keys = np.sort(rows * n + cols)
-    if np.any(keys[1:] == keys[:-1]):
-        raise ValueError("an edge is listed more than once")
+    n, payload = data["n"], data["upper_f8le"]
+    # a bool is an int to Python, and int() would truncate a fractional size
+    if type(n) is not int or n < 1:
+        raise ValueError(f"graph size n must be a positive integer, got {n!r}")
+    if not isinstance(payload, str):
+        raise ValueError("upper_f8le must be a base64 string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"upper_f8le is not base64 ({exc})") from None
+    if len(raw) != 8 * (n * (n - 1) // 2):
+        raise ValueError(f"upper_f8le holds {len(raw)} bytes, but n = {n} needs 8 * n(n-1)/2 = {4 * n * (n - 1)}")
+    rows, cols = np.triu_indices(n, 1)
     w = np.zeros((n, n))
-    w[rows, cols] = vals
-    return Graph(w + w.T)
+    # both triangles from the same bits: w + w.T would turn a -0.0 weight into +0.0
+    w[rows, cols] = w[cols, rows] = np.frombuffer(raw, dtype="<f8")
+    return Graph(w)

@@ -226,6 +226,19 @@ class TestReconstruct:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--samples", "--truth"])
+    def test_directory_as_input_file_exits_one(self, tmp_path, capsys, flag):
+        self.prepare(tmp_path)
+        (tmp_path / "adir").mkdir()
+        paths = {"--samples": tmp_path / "samples.json", "--truth": tmp_path / "truth.json", flag: tmp_path / "adir"}
+        argv = ["reconstruct", "--dir", str(tmp_path), "--q", "degree", "--band", "6"]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "adir") in err and err.count("\n") == 1
+
     def test_band_beyond_sample_count_is_usage_error(self, tmp_path):
         self.prepare(tmp_path)
         samples = read_json(tmp_path / "samples.json")
@@ -614,8 +627,17 @@ POCS = ["reconstruct", "--method", "pocs"]
     "name, text, argv",
     [
         ("graph.json", "[]", ["select", "--m", "4"]),
+        # the edge-list layout of earlier versions has no payload field
         ("graph.json", '{"n": 3, "edges": 5}', ["select", "--m", "4"]),
         ("graph.json", "not json", ["select", "--m", "4"]),
+        ("graph.json", '{"upper_f8le": ""}', ["select", "--m", "4"]),
+        ("graph.json", '{"n": true, "upper_f8le": ""}', ["select", "--m", "4"]),
+        ("graph.json", '{"n": 24.0, "upper_f8le": ""}', ["select", "--m", "4"]),
+        ("graph.json", '{"n": -1, "upper_f8le": ""}', ["select", "--m", "4"]),
+        ("graph.json", '{"n": 24, "upper_f8le": [0.5]}', ["select", "--m", "4"]),
+        ("graph.json", '{"n": 24, "upper_f8le": "not base64!"}', ["reconstruct"]),
+        ("graph.json", '{"n": 24, "upper_f8le": "AAAAAAAAAAA"}', ["select", "--m", "4"]),
+        ("graph.json", '{"n": 24, "upper_f8le": "AAAAAAAAAAA="}', ["reconstruct"]),
         ("q_degree.json", "[]", ["select", "--m", "4"]),
         ("q_degree.json", "not json", ["reconstruct"]),
         ("q_degree.json", '{"variant": "degree", "entries": [' + ", ".join(["true"] * 24) + "]}", ["select", "--m", "4"]),
@@ -628,7 +650,9 @@ POCS = ["reconstruct", "--method", "pocs"]
         ("selection_degree.json", '{"cutoffs": ["0.5"]}', POCS),
     ],
     ids=[
-        "graph-list", "graph-edges-number", "graph-not-json", "inner-list", "inner-not-json", "inner-booleans",
+        "graph-list", "graph-edges-number", "graph-not-json", "graph-no-n", "graph-boolean-n", "graph-float-n",
+        "graph-negative-n", "graph-payload-list", "graph-not-base64", "graph-payload-unpadded", "graph-payload-short",
+        "inner-list", "inner-not-json", "inner-booleans",
         "inner-strings", "inner-no-entries", "cutoffs-number", "selection-not-json", "cutoffs-empty",
         "cutoffs-boolean", "cutoffs-string",
     ],

@@ -1,5 +1,9 @@
 """Graph construction, inner products, and vertex-set plumbing."""
 
+import base64
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +165,23 @@ class TestVertexSets:
         np.testing.assert_array_equal(gs.complement([], 3), [0, 1, 2])
 
 
+def graph_doc(n, upper) -> dict:
+    """A graph.json document written by hand: ``n`` and the upper-triangle weights, little-endian float64 in base64."""
+    return {"n": n, "upper_f8le": base64.b64encode(np.asarray(upper, dtype="<f8").tobytes()).decode("ascii")}
+
+
+@st.composite
+def symmetric_weights(draw):
+    """Weight matrices on 1 to 6 vertices, with zero, negative-zero, subnormal and huge weights among them."""
+    n = draw(st.integers(1, 6))
+    weight = st.floats(0.0, 1.7e308) | st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1.0])
+    upper = draw(st.lists(weight, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    rows, cols = np.triu_indices(n, 1)
+    w = np.zeros((n, n))
+    w[rows, cols] = w[cols, rows] = upper
+    return w
+
+
 class TestGraphJson:
     def test_round_trip(self, rng):
         g = gs.Graph(random_weights(rng, 7))
@@ -168,37 +189,45 @@ class TestGraphJson:
         np.testing.assert_array_equal(again.weights, g.weights)
 
     def test_loader_symmetrizes(self):
-        data = {"n": 3, "edges": [[0, 2, 0.5]]}
-        g = gs.graph_from_json(data)
+        g = gs.graph_from_json(graph_doc(3, [0.0, 0.5, 0.0]))
         assert g.weights[0, 2] == g.weights[2, 0] == 0.5
 
-    def test_bad_edge_order_rejected(self):
-        with pytest.raises(ValueError):
-            gs.graph_from_json({"n": 3, "edges": [[2, 0, 1.0]]})
+    def test_payload_is_the_upper_triangle_row_by_row(self):
+        w = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+        doc = gs.graph_to_json(gs.Graph(w))
+        assert doc == {"n": 3, "upper_f8le": base64.b64encode(struct.pack("<3d", 1.0, 2.0, 3.0)).decode("ascii")}
+
+    @given(symmetric_weights())
+    def test_round_trip_is_bit_exact(self, w):
+        g = gs.Graph(w)
+        again = gs.graph_from_json(json.loads(json.dumps(gs.graph_to_json(g))))
+        np.testing.assert_array_equal(again.weights, g.weights)
+        # assert_array_equal takes -0.0 for 0.0: compare the bits too
+        assert again.weights.tobytes() == g.weights.tobytes()
 
     @pytest.mark.parametrize(
-        "data",
-        [{"n": 3, "edges": [[0, 2.7, 1.0]]}, {"n": 3, "edges": [[0.5, 2, 1.0]]}, {"n": 3.5, "edges": []}],
-        ids=["fractional-j", "fractional-i", "fractional-n"],
+        "doc, error, match",
+        [
+            ({"upper_f8le": ""}, KeyError, "n"),
+            ({"n": 3}, KeyError, "upper_f8le"),
+            ({"n": True, "upper_f8le": ""}, ValueError, "positive integer"),
+            ({"n": 3.0, "upper_f8le": graph_doc(3, [1.0, 1.0, 1.0])["upper_f8le"]}, ValueError, "positive integer"),
+            ({"n": 0, "upper_f8le": ""}, ValueError, "positive integer"),
+            ({"n": -2, "upper_f8le": ""}, ValueError, "positive integer"),
+            ({"n": 2, "upper_f8le": [1.0]}, ValueError, "base64 string"),
+            ({"n": 2, "upper_f8le": "not base64!"}, ValueError, "not base64 .Only base64 data"),
+            ({"n": 2, "upper_f8le": "AAAAAAAAAAA"}, ValueError, "not base64 .Incorrect padding"),
+            ({"n": 2, "upper_f8le": "\u00e9"}, ValueError, "not base64 .* ASCII"),
+            (graph_doc(3, [1.0, 1.0]), ValueError, "holds 16 bytes, but n = . needs"),
+            (graph_doc(2, [1.0, 1.0]), ValueError, "holds 16 bytes, but n = . needs"),
+            (graph_doc(3, [1.0, np.nan, 1.0]), ValueError, "finite"),
+            (graph_doc(3, [1.0, -1.0, 1.0]), ValueError, "nonnegative"),
+        ],
+        ids=[
+            "no-n", "no-payload", "boolean-n", "float-n", "zero-n", "negative-n", "payload-list", "not-base64",
+            "unpadded", "non-ascii", "short", "long", "nan-weight", "negative-weight",
+        ],
     )
-    def test_fractional_ids_rejected(self, data):
-        # int() would truncate: the edge [0, 2.7, w] would load as the edge (0, 2)
-        with pytest.raises(ValueError, match="must be integers"):
-            gs.graph_from_json(data)
-
-    def test_repeated_edge_rejected(self):
-        with pytest.raises(ValueError, match="more than once"):
-            gs.graph_from_json({"n": 3, "edges": [[0, 2, 1.0], [1, 2, 1.0], [0, 2, 0.5]]})
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 3), st.integers(4, 5), st.floats(0.01, 10.0)),
-            max_size=8,
-            unique_by=lambda e: (e[0], e[1]),
-        )
-    )
-    def test_round_trip_arbitrary_edge_lists(self, edges):
-        data = {"n": 6, "edges": [[i, j, w] for i, j, w in edges]}
-        g = gs.graph_from_json(data)
-        again = gs.graph_from_json(gs.graph_to_json(g))
-        np.testing.assert_array_equal(again.weights, g.weights)
+    def test_bad_document_rejected(self, doc, error, match):
+        with pytest.raises(error, match=match):
+            gs.graph_from_json(doc)
