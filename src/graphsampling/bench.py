@@ -21,7 +21,14 @@ from .graphs import (
     identity_inner_product,
     q_norm,
 )
-from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct, e_opt_metric
+from .reconstruction import (
+    PocsParams,
+    _cheb_coeffs,
+    _pocs_solve,
+    _spectral_filters,
+    consistent_reconstruct,
+    e_opt_metric,
+)
 from .sampling import _greedy_from_basis
 from .spectral import _lambda_max, compute_basis
 
@@ -122,6 +129,7 @@ def _sweep(
     cycles: Sequence[int | None] = (None,),
     sigmas: Sequence[float | None] = (None,),
     draw: Callable[..., object] | None = None,
+    check_range: bool = False,
 ) -> ResultTable:
     """The realization sweep both drivers share.
 
@@ -130,6 +138,8 @@ def _sweep(
     variant one basis and one greedy selection up to the largest size, whose
     cells ``block(out, data, basis, selection, sizes)`` fills into
     ``out[cycle, sigma, size]``. The bound table is the ``(None,) x (None,)`` grid.
+    With ``check_range`` a proxy order past an instance's working range
+    raises ``ValueError`` (see :func:`greedy_select`).
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -148,7 +158,7 @@ def _sweep(
         cells = np.empty((len(variants), len(cycles), len(sigmas), len(sizes)))
         for vi, variant in enumerate(variants):
             basis = compute_basis(lap, inners[variant])
-            selection = _greedy_from_basis(basis, sizes[-1], cfg.proxy_k)
+            selection = _greedy_from_basis(basis, sizes[-1], cfg.proxy_k, check_range)
             block(cells[vi], data, basis, selection, sizes)
         if progress is not None:
             progress(idx)
@@ -168,13 +178,16 @@ def run_bound_experiment(
     variants: Sequence[str] = VARIANTS,
     workers: int = 1,
     progress: Callable[[int], None] | None = None,
+    check_range: bool = False,
 ) -> ResultTable:
     """Average worst-case design quality over random geometric graphs.
 
     For each realization and inner-product variant, greedily selects up to
     the largest requested sampling size, then records the smallest weighted
     design singular value at every size with the band matched to the size.
-    Rank-deficient cells are recorded as failures, not raised. Deterministic
+    Rank-deficient cells are recorded as failures, not raised. With
+    ``check_range``, a proxy order past an instance's working range raises
+    ``ValueError`` (see :func:`greedy_select`). Deterministic
     for a fixed ``cfg.seed``, including under ``workers > 1``.
     """
 
@@ -185,7 +198,7 @@ def run_bound_experiment(
             except RankDeficientError:
                 out[0, 0, si] = np.nan
 
-    return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block)
+    return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block, check_range=check_range)
 
 
 def _band_from_cutoff(frequencies: np.ndarray, omega: float, size: int) -> int:
@@ -204,6 +217,7 @@ def run_mse_experiment(
     variants: Sequence[str] = VARIANTS,
     workers: int = 1,
     progress: Callable[[int], None] | None = None,
+    check_range: bool = False,
 ) -> ResultTable:
     """Mean reconstruction error of sine waves sampled on geometric graphs.
 
@@ -213,7 +227,15 @@ def run_mse_experiment(
     matter which inner product drove the selection. Both reconstruction
     methods band-limit at the cutoff estimate recorded during selection:
     the closed form fits the modes below it, the iterative method low-passes
-    at it. Failed reconstructions are recorded per cell.
+    at it. Failed reconstructions are recorded per cell. ``check_range`` is
+    as in :func:`run_bound_experiment`.
+
+    Every (signal, noise) pair of one variant and size shares the sampling
+    set and so the PoCS low-pass. Per variant, the analysis matrix is scaled
+    once and every size's filter response comes from one Clenshaw pass; each
+    size's synthesis matrix is scaled when the size loop reaches it, and only
+    the CG solve runs per signal. Each cell equals the public
+    :func:`pocs_reconstruct` call bit for bit.
     """
     if method not in RECON_METHODS:
         raise ValueError(f"method must be one of {RECON_METHODS}")
@@ -228,24 +250,33 @@ def run_mse_experiment(
         truths = {c: sinewave_signal(pc, c) for c in cycles}
         # one noise draw per (signal, level), shared by all variants and sizes
         noisy = {(c, s): add_noise(truths[c], s, rng) for c in cycles for s in sigmas}
+        # checked once here, as every reconstruction would check its samples
+        if not all(np.isfinite(y).all() for y in noisy.values()):
+            raise ValueError("sample values must be finite")
         return metric, truths, noisy
 
     def block(out, data, basis, selection, sizes):
         metric, truths, noisy = data
-        lam_max = _lambda_max(basis)
+        omegas = [float(selection.cutoffs[size - 1]) for size in sizes]
+        if method == "pocs":
+            lam_max = _lambda_max(basis)
+            params = [PocsParams(omega=min(omega, lam_max), lambda_max=lam_max) for omega in omegas]
+            lowpasses = _spectral_filters(basis, np.stack([_cheb_coeffs(p) for p in params]), lam_max)
         for si, size in enumerate(sizes):
+            # sorted distinct vertices of the basis: the samples _paired_samples would return
             chosen = selection.head(size)
-            omega = float(selection.cutoffs[size - 1])
+            if method == "pocs":
+                lowpass = next(lowpasses)
+            else:
+                band = _band_from_cutoff(basis.frequencies, omegas[si], size)
             for ci, c in enumerate(cycles):
                 for ni, s in enumerate(sigmas):
                     y = noisy[c, s][chosen]
                     try:
                         if method == "closed-form":
-                            band = _band_from_cutoff(basis.frequencies, omega, size)
                             rep = consistent_reconstruct(basis, chosen, y, band=band)
                         else:
-                            params = PocsParams(omega=min(omega, lam_max), lambda_max=lam_max)
-                            rep = _pocs_from_basis(basis, chosen, y, params)
+                            rep = _pocs_solve(lowpass, basis.inner, chosen, y, params[si])
                         err = q_norm(rep.x_hat - truths[c], metric)
                         if not np.isfinite(err):
                             err = np.nan
@@ -253,4 +284,6 @@ def run_mse_experiment(
                         err = np.nan
                     out[ci, ni, si] = err
 
-    return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block, cycles, sigmas, draw)
+    return _sweep(
+        cfg, realizations, sample_fracs, variants, workers, progress, block, cycles, sigmas, draw, check_range
+    )

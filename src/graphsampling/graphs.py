@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,16 @@ def _freeze(obj, name: str, dtype=float) -> np.ndarray:
     out.flags.writeable = False
     object.__setattr__(obj, name, out)
     return out
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``: a Python or numpy integer but not a bool, else a ``ValueError`` naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyVertexSetError, RankDeficientError
-from .graphs import InnerProduct, _freeze, q_norm, vertex_set
+from .graphs import InnerProduct, _freeze, _integer, q_norm, vertex_set
 from .spectral import SpectralBasis, bandlimit_split, compute_basis
 
 
@@ -194,12 +194,12 @@ class PocsParams:
             raise ValueError("lambda_max must be positive")
         if not 0.0 <= self.omega <= self.lambda_max:
             raise ValueError("omega must lie in [0, lambda_max]")
-        if int(self.cheb_order) < 0:
-            raise ValueError("cheb_order must be nonnegative")
-        object.__setattr__(self, "cheb_order", int(self.cheb_order))
-        if int(self.max_iters) < 1:
-            raise ValueError("max_iters must be at least 1")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        object.__setattr__(self, "cheb_order", _integer(self.cheb_order, "cheb_order"))
+        if self.cheb_order < 0:
+            raise ValueError(f"cheb_order must be nonnegative, got {self.cheb_order}")
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if self.alpha is None:
@@ -223,14 +223,24 @@ def lowpass_response(freqs, omega: float, alpha: float) -> np.ndarray:
 
 
 def evaluate_cheb_series(coeffs, lambda_max: float, freqs) -> np.ndarray:
-    """Clenshaw evaluation of a series at frequencies mapped onto [-1, 1]."""
+    """Clenshaw evaluation of a series ``c0/2 + sum_j c_j T_j`` at frequencies mapped onto [-1, 1].
+
+    ``coeffs`` is one series of shape ``(terms,)``, giving an array of the
+    shape of ``freqs``, or a stack of series of shape ``(rows, terms)``,
+    giving ``(rows,) + freqs.shape`` in one pass. Every row equals the 1-D
+    call on that row bit for bit: the recurrence is elementwise.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] == 0:
+        raise ValueError(f"coefficients must be a non-empty (terms,) or (rows, terms) array, got shape {coeffs.shape}")
     t = 2.0 * np.asarray(freqs, dtype=float) / lambda_max - 1.0
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    for c in coeffs[:0:-1]:
+    # terms first, each term broadcast against the frequencies
+    terms = coeffs.T.reshape(coeffs.shape[::-1] + (1,) * t.ndim)
+    b1 = np.zeros(coeffs.shape[:-1] + t.shape)
+    b2 = np.zeros_like(b1)
+    for c in terms[:0:-1]:
         b1, b2 = 2.0 * t * b1 - b2 + c, b1
-    return t * b1 - b2 + 0.5 * coeffs[0]
+    return t * b1 - b2 + 0.5 * terms[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -256,22 +266,22 @@ def _cheb_coeffs(params: PocsParams) -> np.ndarray:
     return (2.0 / npts) * (table @ vals)
 
 
-def _spectral_filter(basis: SpectralBasis, coeffs, lambda_max: float):
-    """Filter function for a Chebyshev series, applied through the eigenbasis and built once for many signals.
+def _spectral_filters(basis: SpectralBasis, coeffs: np.ndarray, lambda_max: float):
+    """One filter function per row of a ``(rows, terms)`` stack of Chebyshev series, applied through the eigenbasis.
 
-    The series is evaluated at the frequencies, ``r = p(lambda)``, so the filter
-    is ``x -> U (r * (U^T Q x))``: the same operator as the series in ``Q^-1 L``
-    up to roundoff. The two mode matrices are scaled once, by ``r`` and by
-    ``Q``, so each call costs two matrix-vector products.
+    Each series is evaluated at the frequencies, ``r = p(lambda)``, so its
+    filter is ``x -> U (r * (U^T Q x))``: the same operator as the series in
+    ``Q^-1 L`` up to roundoff. All responses come from one Clenshaw pass and
+    the analysis matrix ``(Q U)^T`` is scaled once; the synthesis matrix
+    ``U r`` of a row is scaled only when the generator reaches it, so a
+    caller that takes the filters one by one holds one of them at a time.
+    Each application costs two matrix-vector products.
     """
-    response = evaluate_cheb_series(coeffs, lambda_max, basis.frequencies)
-    synthesis = basis.modes * response
+    responses = evaluate_cheb_series(coeffs, lambda_max, basis.frequencies)
     analysis = (basis.modes * basis.inner.entries[:, None]).T
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return synthesis @ (analysis @ x)
-
-    return apply
+    for response in responses:
+        synthesis = basis.modes * response
+        yield lambda x, synthesis=synthesis: synthesis @ (analysis @ x)
 
 
 def pocs_reconstruct(
@@ -311,15 +321,26 @@ def pocs_reconstruct(
 
 def _pocs_from_basis(basis: SpectralBasis, sampled, values, params: PocsParams, truth=None) -> ReconstructionReport:
     """:func:`pocs_reconstruct` with the basis of ``(variation, inner)`` already computed."""
-    inner = basis.inner
-    s, y = _paired_samples(sampled, values, inner.n)
-    lowpass = _spectral_filter(basis, _cheb_coeffs(params), params.lambda_max)
+    s, y = _paired_samples(sampled, values, basis.n)
+    (lowpass,) = _spectral_filters(basis, _cheb_coeffs(params)[None], params.lambda_max)
+    return _pocs_solve(lowpass, basis.inner, s, y, params, truth)
 
+
+def _pocs_solve(
+    lowpass, inner: InnerProduct, ids: np.ndarray, values: np.ndarray, params: PocsParams, truth=None
+) -> ReconstructionReport:
+    """The CG solve of :func:`pocs_reconstruct` with its filter built and its samples validated.
+
+    ``ids`` are sorted distinct vertices and ``values`` the finite samples in
+    the same order; only ``params.rel_tol`` and ``params.max_iters`` are read.
+    """
+    q = inner.entries
     x = np.zeros(inner.n)
-    x[s] = y
-    free = np.ones(inner.n, dtype=bool)
-    free[s] = False
-    q_u = inner.entries[free]
+    x[ids] = values
+    unsampled = np.ones(inner.n, dtype=bool)
+    unsampled[ids] = False
+    free = np.flatnonzero(unsampled)
+    q_u = q[free]
 
     r = lowpass(x)[free] - x[free]
     iters = 1
@@ -327,7 +348,7 @@ def _pocs_from_basis(basis: SpectralBasis, sampled, values, params: PocsParams, 
     p = r.copy()
     padded = np.zeros(inner.n)
     while True:
-        ref = q_norm(x, inner)
+        ref = math.sqrt(np.dot(x, q * x))  # q_norm(x, inner), without its checks
         delta = math.sqrt(rr)
         if delta <= params.rel_tol * ref or iters >= params.max_iters:
             break
@@ -345,6 +366,6 @@ def _pocs_from_basis(basis: SpectralBasis, sampled, values, params: PocsParams, 
         rr = rr_next
     rel_change = delta / ref if ref > 0.0 else (0.0 if delta == 0.0 else math.inf)
 
-    residual = float(np.max(np.abs(x[s] - y)))
+    residual = float(np.max(np.abs(x[ids] - values)))
     q_err = q_norm(x - np.asarray(truth, dtype=float), inner) if truth is not None else None
     return ReconstructionReport(x, iters, residual, q_error=q_err, last_rel_change=rel_change)

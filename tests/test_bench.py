@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graphsampling as gs
-from graphsampling import bench
+from graphsampling import bench, reconstruction
 from graphsampling.bench import CSV_COLUMNS, _mean_rows
 
 
@@ -107,6 +107,33 @@ class TestMseExperiment:
                         expected.append(gs.q_norm(rep.x_hat - truths[c], metric))
         assert [row.mean_value for row in table.rows] == expected
 
+    def test_pocs_builds_one_filter_per_variant_and_size(self, monkeypatch):
+        # every (signal, noise) pair of a sampling set shares its low-pass; only the CG solve runs per signal
+        calls = {"clenshaw": 0, "coeffs": 0, "filters": 0, "solves": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def filters(*args):
+            for lowpass in real_filters(*args):
+                calls["filters"] += 1
+                yield lowpass
+
+        real_filters = bench._spectral_filters
+        monkeypatch.setattr(reconstruction, "evaluate_cheb_series", counted("clenshaw", gs.evaluate_cheb_series))
+        monkeypatch.setattr(bench, "_cheb_coeffs", counted("coeffs", bench._cheb_coeffs))
+        monkeypatch.setattr(bench, "_spectral_filters", filters)
+        monkeypatch.setattr(bench, "_pocs_solve", counted("solves", bench._pocs_solve))
+        cfg = gs.GeoConfig(n=30, seed=5, kernel_sigma=1.5)
+        table = gs.run_mse_experiment(cfg, 1, [0.3, 0.6], [2, 3], [0.1, 0.2], method="pocs")
+        assert len(table.rows) == 3 * 2 * 2 * 2
+        # 3 variants x 2 sizes filters from one Clenshaw pass per variant, 24 solves
+        assert calls == {"clenshaw": 3, "coeffs": 6, "filters": 6, "solves": 24}
+
     def test_metric_independent_of_selection_variant(self):
         # the error metric weights are the cell areas for every variant row
         cfg = gs.GeoConfig(n=12, seed=30, kernel_sigma=2.0)
@@ -157,6 +184,20 @@ def test_drivers_reject_fewer_than_two_vertices():
         gs.run_bound_experiment(cfg, 1, [0.5])
     with pytest.raises(ValueError, match="at least 2 vertices"):
         gs.run_mse_experiment(cfg, 1, [0.5], [2], [0.1], method="pocs")
+
+
+@pytest.mark.parametrize("method", [None, "closed-form", "pocs"], ids=["bound", "mse-closed-form", "mse-pocs"])
+def test_drivers_check_the_proxy_order_range_on_request(method):
+    cfg = gs.GeoConfig(n=30, seed=0, proxy_k=12)
+
+    def run(**kwargs):
+        if method is None:
+            return gs.run_bound_experiment(cfg, 1, [0.5], variants=("identity",), **kwargs)
+        return gs.run_mse_experiment(cfg, 1, [0.5], [2], [0.1], method=method, variants=("identity",), **kwargs)
+
+    with pytest.raises(ValueError, match="proxy order k = 12 .* largest admissible k is"):
+        run(check_range=True)
+    assert len(run().rows) >= 1
 
 
 def test_sample_sizes_rounding():

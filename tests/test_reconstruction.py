@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 
 import graphsampling as gs
 from graphsampling.errors import RankDeficientError
-from graphsampling.reconstruction import _cheb_coeffs, _cheb_table, _spectral_filter
+from graphsampling.reconstruction import _cheb_coeffs, _cheb_table, _spectral_filters
 from helpers import all_inners, cluster_cloud, geometric_instance
+
+
+def one_filter(basis, coeffs, lambda_max):
+    """The PoCS filter of one Chebyshev series: a stack of one row."""
+    (lowpass,) = _spectral_filters(basis, np.asarray(coeffs, dtype=float)[None], lambda_max)
+    return lowpass
 
 
 def recurrence_oracle(variation, inner, coeffs, lambda_max, x):
@@ -337,20 +343,43 @@ class TestChebyshevSeries:
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 
+    @pytest.mark.parametrize("terms", [1, 2, 61])
+    def test_stacked_series_equal_row_by_row_calls(self, terms, rng):
+        coeffs = rng.standard_normal((4, terms))
+        freqs = np.linspace(-0.5, 7.5, 37)
+        stacked = gs.evaluate_cheb_series(coeffs, 7.0, freqs)
+        assert stacked.shape == (4, 37)
+        for row, out in zip(coeffs, stacked):
+            np.testing.assert_array_equal(out, gs.evaluate_cheb_series(row, 7.0, freqs))
+
+    def test_stacked_lowpass_series_equal_row_by_row_calls(self):
+        # the stack the mse driver evaluates: one low-pass per sampling size, one shared lambda_max
+        stack = np.stack([_cheb_coeffs(gs.PocsParams(omega=w, lambda_max=8.0)) for w in (0.3, 1.1, 2.9, 8.0)])
+        freqs = np.linspace(0.0, 8.0 / 1.01, 100)
+        stacked = gs.evaluate_cheb_series(stack, 8.0, freqs)
+        for row, out in zip(stack, stacked):
+            np.testing.assert_array_equal(out, gs.evaluate_cheb_series(row, 8.0, freqs))
+
+    def test_series_must_be_a_vector_or_a_stack(self):
+        with pytest.raises(ValueError, match="coefficients"):
+            gs.evaluate_cheb_series(np.ones((2, 2, 2)), 1.0, np.zeros(3))
+        with pytest.raises(ValueError, match="coefficients"):
+            gs.evaluate_cheb_series(np.ones((2, 0)), 1.0, np.zeros(3))
+
     def test_grid_error_unchanged(self):
         params = gs.PocsParams(omega=2.0, lambda_max=8.0, cheb_order=60)
         assert grid_error(params) == pytest.approx(9.005659540017863e-05, rel=1e-12)
 
 
 class TestApplyChebFilter:
-    """The spectral filter ``_spectral_filter`` that PoCS applies."""
+    """The spectral filters ``_spectral_filters`` that PoCS applies."""
 
     def test_constant_signal_gets_dc_response(self):
         _, g, lap = geometric_instance(seed=12, n=10, kernel_sigma=2.0)
         inner = gs.identity_inner_product(10)
         params = gs.PocsParams(omega=1.5, lambda_max=gs.estimate_lambda_max(lap, inner))
         x = np.ones(10)
-        out = _spectral_filter(gs.compute_basis(lap, inner), _cheb_coeffs(params), params.lambda_max)(x)
+        out = one_filter(gs.compute_basis(lap, inner), _cheb_coeffs(params), params.lambda_max)(x)
         dc = gs.lowpass_response(np.array([0.0]), params.omega, params.alpha)[0]
         assert np.abs(out - dc * x).max() <= grid_error(params) + 1e-9
 
@@ -362,7 +391,7 @@ class TestApplyChebFilter:
         params = gs.PocsParams(omega=0.4 * lam_max, lambda_max=lam_max)
         coeffs = _cheb_coeffs(params)
         x = rng.standard_normal(20)
-        filtered = _spectral_filter(basis, coeffs, lam_max)(x)
+        filtered = one_filter(basis, coeffs, lam_max)(x)
         response = gs.evaluate_cheb_series(coeffs, lam_max, basis.frequencies)
         oracle = gs.synthesize(basis, response * gs.analyze(basis, x))
         assert np.abs(filtered - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())
@@ -371,8 +400,19 @@ class TestApplyChebFilter:
         _, g, lap = geometric_instance(seed=14, n=8)
         inner = gs.identity_inner_product(8)
         x = rng.standard_normal(8)
-        out = _spectral_filter(gs.compute_basis(lap, inner), np.array([2.0]), 5.0)(x)
+        out = one_filter(gs.compute_basis(lap, inner), np.array([2.0]), 5.0)(x)
         assert np.abs(out - x).max() <= 1e-13 * np.abs(x).max()
+
+    def test_stacked_filters_equal_one_filter_each(self, rng):
+        pc, g, lap = geometric_instance(seed=13, n=20, kernel_sigma=2.0)
+        basis = gs.compute_basis(lap, gs.voronoi_areas(pc))
+        lam_max = gs.estimate_lambda_max(lap, basis.inner)
+        stack = np.stack([_cheb_coeffs(gs.PocsParams(omega=f * lam_max, lambda_max=lam_max)) for f in (0.1, 0.5)])
+        x = rng.standard_normal(20)
+        filters = list(_spectral_filters(basis, stack, lam_max))
+        assert len(filters) == 2
+        for coeffs, lowpass in zip(stack, filters):
+            np.testing.assert_array_equal(lowpass(x), one_filter(basis, coeffs, lam_max)(x))
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3))
@@ -380,7 +420,7 @@ class TestApplyChebFilter:
         _, g, lap = geometric_instance(seed=15, n=8)
         inner = gs.degree_matrix(g)
         params = gs.PocsParams(omega=0.5, lambda_max=2.2, cheb_order=20)
-        filt = _spectral_filter(gs.compute_basis(lap, inner), _cheb_coeffs(params), 2.2)
+        filt = one_filter(gs.compute_basis(lap, inner), _cheb_coeffs(params), 2.2)
         r = np.random.default_rng(0)
         x, y = r.standard_normal(8), r.standard_normal(8)
 
@@ -401,7 +441,7 @@ class TestChebKernelAgainstRecurrence:
             params = gs.PocsParams(omega=0.3 * lam_max, lambda_max=lam_max, cheb_order=order)
             coeffs = _cheb_coeffs(params)
             x = rng.standard_normal(100)
-            out = _spectral_filter(basis, coeffs, lam_max)(x)
+            out = one_filter(basis, coeffs, lam_max)(x)
             oracle = recurrence_oracle(lap, inner, coeffs, lam_max, x)
             assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -490,7 +530,7 @@ class TestPocsReconstruct:
         assert gs.evaluate_cheb_series(coeffs, lam_max, np.linspace(0.0, lam_max, 1001)).max() > 1.0
         sampled = [0, 20]
         free = np.setdiff1d(np.arange(40), sampled)
-        lowpass = _spectral_filter(gs.compute_basis(lap, inner), coeffs, lam_max)
+        lowpass = one_filter(gs.compute_basis(lap, inner), coeffs, lam_max)
         h = np.column_stack([lowpass(e) for e in np.eye(40)])
         oracle = np.column_stack([recurrence_oracle(lap, inner, coeffs, lam_max, e) for e in np.eye(40)])
         assert np.linalg.norm(h - oracle) <= 1e-12 * np.linalg.norm(oracle)
@@ -522,6 +562,21 @@ class TestPocsParams:
         hi = gs.lowpass_response(np.array([2.0 + 0.05 * 10.0]), 2.0, params.alpha)[0]
         assert lo == pytest.approx(0.92, abs=1e-12)
         assert hi == pytest.approx(0.08, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [60.9, 60.0, True, "60"])
+    def test_cheb_order_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="cheb_order must be an integer"):
+            gs.PocsParams(omega=1.0, lambda_max=4.0, cheb_order=value)
+
+    @pytest.mark.parametrize("value", [True, 2.7, np.float64(500.0)])
+    def test_max_iters_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            gs.PocsParams(omega=1.0, lambda_max=4.0, max_iters=value)
+
+    def test_numpy_integers_are_accepted(self):
+        params = gs.PocsParams(omega=1.0, lambda_max=4.0, cheb_order=np.int64(40), max_iters=np.int32(7))
+        assert (params.cheb_order, params.max_iters) == (40, 7)
+        assert type(params.cheb_order) is int and type(params.max_iters) is int
 
     def test_validation(self):
         with pytest.raises(ValueError):
