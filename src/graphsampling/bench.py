@@ -129,7 +129,6 @@ def _sweep(
     cycles: Sequence[int | None] = (None,),
     sigmas: Sequence[float | None] = (None,),
     draw: Callable[..., object] | None = None,
-    check_range: bool = False,
 ) -> ResultTable:
     """The realization sweep both drivers share.
 
@@ -138,8 +137,6 @@ def _sweep(
     variant one basis and one greedy selection up to the largest size, whose
     cells ``block(out, data, basis, selection, sizes)`` fills into
     ``out[cycle, sigma, size]``. The bound table is the ``(None,) x (None,)`` grid.
-    With ``check_range`` a proxy order past an instance's working range
-    raises ``ValueError`` (see :func:`greedy_select`).
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -158,7 +155,7 @@ def _sweep(
         cells = np.empty((len(variants), len(cycles), len(sigmas), len(sizes)))
         for vi, variant in enumerate(variants):
             basis = compute_basis(lap, inners[variant])
-            selection = _greedy_from_basis(basis, sizes[-1], cfg.proxy_k, check_range)
+            selection = _greedy_from_basis(basis, sizes[-1], cfg.proxy_k)
             block(cells[vi], data, basis, selection, sizes)
         if progress is not None:
             progress(idx)
@@ -178,16 +175,13 @@ def run_bound_experiment(
     variants: Sequence[str] = VARIANTS,
     workers: int = 1,
     progress: Callable[[int], None] | None = None,
-    check_range: bool = False,
 ) -> ResultTable:
     """Average worst-case design quality over random geometric graphs.
 
     For each realization and inner-product variant, greedily selects up to
     the largest requested sampling size, then records the smallest weighted
     design singular value at every size with the band matched to the size.
-    Rank-deficient cells are recorded as failures, not raised. With
-    ``check_range``, a proxy order past an instance's working range raises
-    ``ValueError`` (see :func:`greedy_select`). Deterministic
+    Rank-deficient cells are recorded as failures, not raised. Deterministic
     for a fixed ``cfg.seed``, including under ``workers > 1``.
     """
 
@@ -198,7 +192,7 @@ def run_bound_experiment(
             except RankDeficientError:
                 out[0, 0, si] = np.nan
 
-    return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block, check_range=check_range)
+    return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block)
 
 
 def _band_from_cutoff(frequencies: np.ndarray, omega: float, size: int) -> int:
@@ -217,7 +211,6 @@ def run_mse_experiment(
     variants: Sequence[str] = VARIANTS,
     workers: int = 1,
     progress: Callable[[int], None] | None = None,
-    check_range: bool = False,
 ) -> ResultTable:
     """Mean reconstruction error of sine waves sampled on geometric graphs.
 
@@ -227,8 +220,7 @@ def run_mse_experiment(
     matter which inner product drove the selection. Both reconstruction
     methods band-limit at the cutoff estimate recorded during selection:
     the closed form fits the modes below it, the iterative method low-passes
-    at it. Failed reconstructions are recorded per cell. ``check_range`` is
-    as in :func:`run_bound_experiment`.
+    at it. Failed reconstructions are recorded per cell.
 
     Every (signal, noise) pair of one variant and size shares the sampling
     set and so the PoCS low-pass. Per variant, the analysis matrix is scaled
@@ -284,6 +276,4 @@ def run_mse_experiment(
                         err = np.nan
                     out[ci, ni, si] = err
 
-    return _sweep(
-        cfg, realizations, sample_fracs, variants, workers, progress, block, cycles, sigmas, draw, check_range
-    )
+    return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block, cycles, sigmas, draw)

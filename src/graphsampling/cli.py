@@ -210,7 +210,7 @@ def cmd_select(args) -> int:
     out = _out_file(args.out) if args.out else directory / f"selection_{args.q}.json"
     g = _read_json(directory / "graph.json", graph_from_json)
     inner = _read_json(directory / f"q_{args.q}.json", _inner)
-    result = greedy_select(combinatorial_laplacian(g), inner, args.m, k=args.k, check_range=True)
+    result = greedy_select(combinatorial_laplacian(g), inner, args.m, k=args.k)
     _write_json(
         out,
         {
@@ -300,12 +300,7 @@ def cmd_bench(args) -> int:
     """``bench bound`` and ``bench mse``: run the driver, then write its CSV, charts and manifest."""
     out = _out_dir(args.out)
     cfg = GeoConfig(n=args.n, side=args.side, kernel_sigma=args.kernel_sigma, seed=args.seed, proxy_k=args.k)
-    run = {
-        "variants": args.variants,
-        "workers": args.threads,
-        "progress": _progress(args.realizations),
-        "check_range": True,
-    }
+    run = {"variants": args.variants, "workers": args.threads, "progress": _progress(args.realizations)}
     if args.bench_command == "bound":
         table = run_bound_experiment(cfg, args.realizations, args.fracs, **run)
         chart = line_chart(

@@ -54,7 +54,7 @@ def _design(basis: SpectralBasis, sampled, band: int | None, values=None):
     ``a = root * U_S[:, :band]`` is the weighted design matrix.
     """
     s, y = _paired_samples(sampled, values, basis.n)
-    band = s.size if band is None else int(band)
+    band = s.size if band is None else _integer(band, "band")
     if not 1 <= band <= s.size:
         raise ValueError(f"band must lie in [1, {s.size}], got {band}")
     root = np.sqrt(basis.inner.entries[s])

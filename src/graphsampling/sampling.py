@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,32 +18,6 @@ def _check_order(k: int) -> int:
     if k < 1:
         raise ValueError(f"proxy order k must be a positive integer, got {k}")
     return k
-
-
-def _check_working_range(basis: SpectralBasis, k: int) -> None:
-    """Reject a proxy order ``k`` with ``(lambda_max / lambda_1)^{2k} >= eps^-2`` on this basis.
-
-    ``lambda_1`` is the smallest frequency above ``n eps lambda_max``. Past
-    that limit the singleton scores of :func:`greedy_select`, which differ
-    by about ``lambda_1^{2k}``, tie below the ``eps^2 lambda_max^{2k}`` noise
-    floor, so its first pick is the lowest vertex id. The selector runs
-    this check only when asked (``check_range``), as the CLI's ``select``
-    and the benchmark drivers do: a graph of nearly disconnected clusters is
-    far past the limit at any ``k`` and still yields a usable sampling set.
-    """
-    frequencies = basis.frequencies
-    eps = float(np.finfo(float).eps)
-    top = float(frequencies[-1])
-    above = frequencies[frequencies > frequencies.size * eps * top]
-    if above.size == 0:
-        return
-    ratio = top / float(above[0])
-    if k * math.log(ratio) >= math.log(1.0 / eps):
-        largest = math.ceil(math.log(1.0 / eps) / math.log(ratio)) - 1
-        raise ValueError(
-            f"proxy order k = {k} is past this graph's working range: lambda_max/lambda_1 = {ratio:.6g} "
-            f"makes the selection scores tie in double precision; the largest admissible k is {largest}"
-        )
 
 
 def spectral_proxy(variation, inner: InnerProduct, x, k: int = DEFAULT_PROXY_ORDER) -> float:
@@ -290,8 +263,6 @@ def greedy_select(
     inner: InnerProduct,
     m: int,
     k: int = DEFAULT_PROXY_ORDER,
-    *,
-    check_range: bool = False,
 ) -> SamplingResult:
     """Grow a sampling set of size ``m`` by maximizing the cutoff estimate.
 
@@ -325,21 +296,17 @@ def greedy_select(
     InvalidTargetError
         If ``m`` is not in ``[1, n)``.
     ValueError
-        If ``k`` is not a positive integer, or, with ``check_range``, if
-        ``(lambda_max / lambda_1)^{2k} >= eps^-2``: past that limit every
-        singleton scores the same (see ``_check_working_range``).
+        If ``m`` or ``k`` is not an integer, or ``k`` is not positive.
     """
-    return _greedy_from_basis(compute_basis(variation, inner), m, k, check_range=check_range)
+    return _greedy_from_basis(compute_basis(variation, inner), m, k)
 
 
-def _greedy_from_basis(basis: SpectralBasis, m: int, k: int, check_range: bool = False) -> SamplingResult:
+def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
     """:func:`greedy_select` for callers that already hold the basis of the variation operator."""
     k = _check_order(k)
-    if check_range:
-        _check_working_range(basis, k)
     inner = basis.inner
     n = inner.n
-    m = int(m)
+    m = _integer(m, "sampling set size m")
     if not 1 <= m < n:
         raise InvalidTargetError(f"sampling set size must be in [1, {n}), got {m}")
     q = inner.entries

@@ -186,20 +186,6 @@ def test_drivers_reject_fewer_than_two_vertices():
         gs.run_mse_experiment(cfg, 1, [0.5], [2], [0.1], method="pocs")
 
 
-@pytest.mark.parametrize("method", [None, "closed-form", "pocs"], ids=["bound", "mse-closed-form", "mse-pocs"])
-def test_drivers_check_the_proxy_order_range_on_request(method):
-    cfg = gs.GeoConfig(n=30, seed=0, proxy_k=12)
-
-    def run(**kwargs):
-        if method is None:
-            return gs.run_bound_experiment(cfg, 1, [0.5], variants=("identity",), **kwargs)
-        return gs.run_mse_experiment(cfg, 1, [0.5], [2], [0.1], method=method, variants=("identity",), **kwargs)
-
-    with pytest.raises(ValueError, match="proxy order k = 12 .* largest admissible k is"):
-        run(check_range=True)
-    assert len(run().rows) >= 1
-
-
 def test_sample_sizes_rounding():
     assert gs.sample_sizes(100, [0.2, 0.25]) == [20, 25]
     assert gs.sample_sizes(10, [0.05]) == [1]

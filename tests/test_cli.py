@@ -123,18 +123,6 @@ class TestSelect:
     def test_bad_flags_exit_two(self):
         assert main(["select", "--m", "not-a-number"]) == 2
 
-    def test_proxy_order_past_the_working_range_exits_two(self, tmp_path, capsys):
-        # seed 0, Voronoi: lambda_max/lambda_1 = 2178, so k must stay below 4.69
-        assert main(["gen", "--n", "30", "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        out = tmp_path / "sel.json"
-        assert main(["select", "--dir", str(tmp_path), "--m", "8", "--k", "5", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: proxy order k = 5 ") and err.count("\n") == 1
-        assert "lambda_max/lambda_1 = 2177.89 " in err and err.endswith("the largest admissible k is 4\n")
-        assert not out.exists()
-        assert main(["select", "--dir", str(tmp_path), "--m", "8", "--k", "4", "--out", str(out)]) == 0
-
     def test_manifest_parameters(self, tmp_path):
         gen(tmp_path, "--q", "degree")
         assert main(["select", "--dir", f"{tmp_path}/", "--q", "degree", "--m", "6", "--k", "2"]) == 0
@@ -375,14 +363,6 @@ class TestBench:
     @pytest.mark.parametrize("command", ["bound", "mse"])
     def test_one_worker_by_default(self, command):
         assert build_parser().parse_args(["bench", command]).threads == 1
-
-    @pytest.mark.parametrize("command", ["bound", "mse"])
-    def test_proxy_order_past_the_working_range_exits_two(self, tmp_path, capsys, command):
-        out = tmp_path / "out"
-        assert main(["bench", command, "--n", "30", "--realizations", "1", "--k", "12", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: proxy order k = 12 ") and err.count("\n") == 1
-        assert not out.exists()
 
     def test_bad_fracs_exit_two(self, tmp_path):
         code = main(["bench", "bound", "--fracs", "0.5:0.1:0.1", "--out", str(tmp_path)])

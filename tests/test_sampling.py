@@ -16,7 +16,6 @@ from graphsampling.errors import (
 from helpers import (
     all_inners,
     brute_force_singleton,
-    cluster_cloud,
     explicit_cutoff,
     geometric_instance,
 )
@@ -385,12 +384,16 @@ class TestGreedySelect:
         with pytest.raises(InvalidTargetError):
             gs.greedy_select(PATH3_LAP, inner, 3)
 
-
-    @pytest.mark.parametrize("k", [2.7, 2.0, True])
-    def test_order_must_be_an_integer(self, k):
+    @pytest.mark.parametrize(
+        "setting, name",
+        [({"k": 2.7}, "proxy order k"), ({"k": 2.0}, "proxy order k"), ({"k": True}, "proxy order k"),
+         ({"m": 2.7}, "sampling set size m")],
+        ids=["k-2.7", "k-2.0", "k-True", "m-2.7"],
+    )
+    def test_settings_must_be_integers(self, setting, name):
         inner = gs.identity_inner_product(3)
-        with pytest.raises(ValueError, match="proxy order k must be an integer"):
-            gs.greedy_select(PATH3_LAP, inner, 2, k=k)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            gs.greedy_select(PATH3_LAP, inner, **{"m": 2, "k": 2, **setting})
 
     def test_numpy_integer_order_is_accepted(self):
         inner = gs.identity_inner_product(3)
@@ -398,36 +401,6 @@ class TestGreedySelect:
         b = gs.greedy_select(PATH3_LAP, inner, 2, k=2)
         np.testing.assert_array_equal(a.order, b.order)
         np.testing.assert_array_equal(a.cutoffs, b.cutoffs)
-
-
-class TestWorkingRange:
-    """``check_range``: a proxy order whose singleton scores would tie in double precision is rejected."""
-
-    def test_order_past_the_limit_is_rejected(self):
-        # frequencies 0, 1, 3: lambda_max/lambda_1 = 3, so k must stay below ln(1/eps)/ln(3) = 32.8
-        inner = gs.identity_inner_product(3)
-        with pytest.raises(ValueError, match=r"k = 33 .*lambda_max/lambda_1 = 3 .*largest admissible k is 32$"):
-            gs.greedy_select(PATH3_LAP, inner, 1, k=33, check_range=True)
-        gs.greedy_select(PATH3_LAP, inner, 1, k=32, check_range=True)
-        # unchecked, the selector still runs
-        gs.greedy_select(PATH3_LAP, inner, 1, k=33)
-
-    def test_nearly_disconnected_clusters_are_past_the_limit(self):
-        # the cluster clouds of the PoCS tests: lambda_1 is about 1e-7 of lambda_max
-        pc, _ = cluster_cloud(10)
-        lap = gs.combinatorial_laplacian(gs.gaussian_kernel_graph(pc, 1.0))
-        with pytest.raises(ValueError, match="largest admissible k is 2$"):
-            gs.greedy_select(lap, gs.identity_inner_product(lap.shape[0]), 6, k=3, check_range=True)
-
-    @pytest.mark.parametrize("graph", [star_graph(6), two_triangles()], ids=["star", "triangles"])
-    def test_selection_below_the_limit_is_unchanged(self, graph):
-        # lambda_1 is 1 in the star and 3 in the triangles, the smallest frequency above the zero ones
-        lap = gs.combinatorial_laplacian(graph)
-        inner = gs.identity_inner_product(graph.n)
-        checked = gs.greedy_select(lap, inner, 4, k=3, check_range=True)
-        plain = gs.greedy_select(lap, inner, 4, k=3)
-        np.testing.assert_array_equal(checked.order, plain.order)
-        np.testing.assert_array_equal(checked.cutoffs, plain.cutoffs)
 
 
 class TestEOptMetric:
@@ -507,6 +480,15 @@ class TestAOptMetric:
         basis = gs.compute_basis(lap, gs.identity_inner_product(8))
         with pytest.raises(ValueError, match="band must lie in"):
             gs.error_covariance(basis, [1, 4], 3)
+
+    @pytest.mark.parametrize("band", [1.9, 2.0, True])
+    def test_band_must_be_an_integer(self, band):
+        pc, g, lap = geometric_instance(seed=22, n=8)
+        basis = gs.compute_basis(lap, gs.identity_inner_product(8))
+        with pytest.raises(ValueError, match="band must be an integer"):
+            gs.e_opt_metric(basis, [1, 4], band)
+        with pytest.raises(ValueError, match="band must be an integer"):
+            gs.consistent_reconstruct(basis, [1, 4], [1.0, 2.0], band=band)
 
     def test_singular_gram_reports_design_singular_value(self):
         # sampled rows diag(1, delta) of an orthogonal mode matrix: delta is
