@@ -17,6 +17,7 @@ from .graphs import (
     VARIANTS,
     Graph,
     InnerProduct,
+    _integer,
     degree_matrix,
     identity_inner_product,
     q_norm,
@@ -233,7 +234,7 @@ def run_mse_experiment(
         raise ValueError(f"method must be one of {RECON_METHODS}")
     if not signal_cycles or not noise_sigmas:
         raise ValueError("need at least one signal and one noise level")
-    cycles = tuple(int(c) for c in signal_cycles)
+    cycles = tuple(_integer(c, "signal_cycles") for c in signal_cycles)
     sigmas = tuple(float(s) for s in noise_sigmas)
 
     def draw(rng, pc, inners):

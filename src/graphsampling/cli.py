@@ -122,13 +122,36 @@ def _inner(doc) -> InnerProduct:
     return InnerProduct(doc["variant"], _numbers(doc["entries"]))
 
 
+def _ids(doc, field: str) -> list:
+    """``doc[field]`` if it is a list of integer vertex ids."""
+    ids = doc[field]
+    # numpy would take booleans as vertex ids
+    if not (isinstance(ids, list) and all(type(v) is int for v in ids)):
+        raise ValueError(f'"{field}" must be a list of integers')
+    return ids
+
+
 def _samples(doc) -> tuple[list, np.ndarray]:
     """``--samples`` ids and values: a list of integer ids and as many finite numbers."""
-    vertices = doc["vertices"]
-    # numpy would take booleans as vertex ids
-    if not (isinstance(vertices, list) and all(type(v) is int for v in vertices)):
-        raise ValueError('"vertices" must be a list of integers')
+    vertices = _ids(doc, "vertices")
     return vertices, _numbers(doc["values"], len(vertices))
+
+
+def _selection(doc) -> tuple[list, np.ndarray]:
+    """A selection's pick order and its cutoffs, one per pick."""
+    order = _ids(doc, "order")
+    return order, _numbers(doc["cutoffs"], len(order))
+
+
+def _own_cutoff(vertices: list, order: list, cutoffs: np.ndarray) -> float:
+    """The selection's cutoff of the samples: ``cutoffs[j - 1]`` when their ids are its first ``j`` picks as a set."""
+    chosen = set(vertices)
+    if not chosen:
+        raise ValueError("at least one sample is required")
+    j = len(chosen)
+    if chosen != set(order[:j]):
+        raise ValueError("samples that are not the first picks of the selection need --omega")
+    return float(cutoffs[j - 1])
 
 
 def _progress(total: int):
@@ -232,13 +255,13 @@ def cmd_reconstruct(args) -> int:
     g = _read_json(directory / "graph.json", graph_from_json)
     inner = _read_json(directory / f"q_{args.q}.json", _inner)
     selection_path = Path(args.selection) if args.selection else directory / f"selection_{args.q}.json"
+    vertices, values = _read_json(Path(args.samples), _samples)
     # only PoCS uses the selection, for its default cutoff
     omega = args.omega
     if args.method == "pocs" and omega is None:
-        omega = float(_read_json(selection_path, lambda doc: _numbers(doc["cutoffs"])[-1]))
+        omega = _own_cutoff(vertices, *_read_json(selection_path, _selection))
     else:
         selection_path = None
-    vertices, values = _read_json(Path(args.samples), _samples)
     truth = _read_json(Path(args.truth), lambda doc: _numbers(doc["values"], g.n)) if args.truth else None
 
     # floating-point warnings stay silent: a non-finite result is reported below as one error line
@@ -391,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--q", choices=VARIANTS, default="voronoi", help="inner product variant")
     rec.add_argument("--method", choices=RECON_METHODS, default="closed-form")
     rec.add_argument("--band", type=int, default=None, help="modes to fit (closed form)")
-    rec.add_argument("--omega", type=_finite, default=None, help="low-pass cutoff (default: final selection cutoff)")
+    rec.add_argument(
+        "--omega", type=_finite, default=None, help="low-pass cutoff (default: the selection's cutoff of the samples)"
+    )
     rec.add_argument("--alpha", type=_finite, default=None, help="low-pass sharpness")
     rec.add_argument("--cheb-order", type=int, default=60, help="PoCS filter order: degree of the Chebyshev series")
     rec.add_argument("--max-iters", type=int, default=500, help="PoCS bound on filter applications (iters)")

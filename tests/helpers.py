@@ -3,6 +3,7 @@
 import numpy as np
 
 import graphsampling as gs
+from graphsampling.errors import DegenerateCellError
 
 
 def geometric_instance(seed, n=12, side=10.0, kernel_sigma=1.0):
@@ -70,3 +71,72 @@ def explicit_cutoff(lap, inner, sampled, k):
     zk = np.linalg.matrix_power(lap / q[:, None], k)
     h = (np.sqrt(q)[:, None] * zk)[:, keep] / np.sqrt(q[keep])[None, :]
     return np.linalg.svd(h, compute_uv=False)[-1] ** (1.0 / k)
+
+
+def kernel_weights_oracle(pc, sigma):
+    """Gaussian kernel weights from a sum over the (n, n, 2) stack of coordinate differences."""
+    diff = pc.positions[:, None, :] - pc.positions[None, :, :]
+    dist2 = (diff ** 2).sum(axis=2)
+    w = np.exp(-dist2 / (2.0 * sigma * sigma))
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _clip_halfplane_oracle(poly, a, b, c):
+    """Keep the part of a convex polygon with ``a*x + b*y <= c``."""
+    out = []
+    m = len(poly)
+    for idx in range(m):
+        px, py = poly[idx]
+        qx, qy = poly[(idx + 1) % m]
+        fp = a * px + b * py - c
+        fq = a * qx + b * qy - c
+        if fp <= 0.0:
+            out.append((px, py))
+            if fq > 0.0:
+                t = fp / (fp - fq)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        elif fq <= 0.0:
+            t = fp / (fp - fq)
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+    return out
+
+
+def _shoelace_oracle(poly):
+    area = 0.0
+    m = len(poly)
+    for idx in range(m):
+        x0, y0 = poly[idx]
+        x1, y1 = poly[(idx + 1) % m]
+        area += x0 * y1 - x1 * y0
+    return 0.5 * abs(area)
+
+
+def voronoi_oracle(pc):
+    """Voronoi cell areas by clipping on numpy scalars, rebuilding the cell after every candidate bisector."""
+    pts = pc.positions
+    side = pc.side
+    n = pc.n
+    square = [(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)]
+    norms2 = (pts ** 2).sum(axis=1)
+    areas = np.empty(n)
+    for i in range(n):
+        pix, piy = pts[i]
+        d2 = ((pts - pts[i]) ** 2).sum(axis=1)
+        nearest_first = np.argsort(d2, kind="stable")
+        poly = list(square)
+        radius2 = max((vx - pix) ** 2 + (vy - piy) ** 2 for vx, vy in poly)
+        for j in nearest_first[1:]:
+            if d2[j] == 0.0:
+                raise DegenerateCellError(i)
+            if d2[j] >= 4.0 * radius2:
+                break
+            a = 2.0 * (pts[j, 0] - pix)
+            b = 2.0 * (pts[j, 1] - piy)
+            c = norms2[j] - norms2[i]
+            poly = _clip_halfplane_oracle(poly, a, b, c)
+            if len(poly) < 3:
+                raise DegenerateCellError(i)
+            radius2 = max((vx - pix) ** 2 + (vy - piy) ** 2 for vx, vy in poly)
+        areas[i] = _shoelace_oracle(poly)
+    return areas

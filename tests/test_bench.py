@@ -52,6 +52,11 @@ class TestMseExperiment:
         b = gs.run_mse_experiment(SMALL, 2, [0.4], [2], [0.2], workers=2)
         assert a.to_csv().encode() == b.to_csv().encode()
 
+    def test_signal_cycles_must_be_integers(self):
+        # once truncated by int(), so 2.5 cycles ran as 2
+        with pytest.raises(ValueError, match="^signal_cycles must be an integer"):
+            gs.run_mse_experiment(SMALL, 1, [0.5], [2.5], [0.1])
+
     def test_noiseless_smooth_signal_error_decreases(self):
         cfg = gs.GeoConfig(n=30, seed=4, kernel_sigma=2.0)
         table = gs.run_mse_experiment(cfg, 3, [0.2, 0.4, 0.6], [2], [0.0], variants=("voronoi",))

@@ -589,6 +589,46 @@ def test_pocs_x_hat_equals_the_public_call(tmp_path):
     assert read_json(tmp_path / "reconstruction.json")["x_hat"] == report.x_hat.tolist()
 
 
+@pytest.fixture(scope="module")
+def sixty(tmp_path_factory):
+    """An n=60 Voronoi instance with a 30-pick selection, and its pick order and cutoffs."""
+    d = tmp_path_factory.mktemp("sixty")
+    assert main(["gen", "--n", "60", "--seed", "3", "--q", "voronoi", "--out", str(d)]) == 0
+    assert main(["select", "--dir", str(d), "--m", "30"]) == 0
+    selection = read_json(d / "selection_voronoi.json")
+    return d, selection["order"], selection["cutoffs"]
+
+
+def test_pocs_default_cutoff_is_that_of_the_sampled_picks(sixty, tmp_path):
+    d, order, cutoffs = sixty
+    # the first 12 picks as a set, listed in another order
+    vertices = [order[i] for i in np.random.default_rng(0).permutation(12)]
+    values = np.cos(np.arange(12.0)).tolist()
+    samples, out = tmp_path / "samples.json", tmp_path / "rec.json"
+    samples.write_text(json.dumps({"vertices": vertices, "values": values}), encoding="utf-8")
+    assert main(["reconstruct", "--dir", str(d), "--samples", str(samples), "--method", "pocs", "--out", str(out)]) == 0
+    lap = gs.combinatorial_laplacian(gs.graph_from_json(read_json(d / "graph.json")))
+    inner = gs.InnerProduct("voronoi", np.asarray(read_json(d / "q_voronoi.json")["entries"]))
+    # 0.636 for these 12 picks; the cutoff of all 30 is 1.981
+    params = gs.PocsParams(omega=cutoffs[11], lambda_max=gs.estimate_lambda_max(lap, inner))
+    report = read_json(out)
+    assert report["x_hat"] == gs.pocs_reconstruct(lap, inner, vertices, values, params).x_hat.tolist()
+    assert report["manifest"]["parameters"]["omega"] is None
+
+
+def test_pocs_samples_off_the_pick_order_need_an_omega(sixty, tmp_path, capsys):
+    d, order, _ = sixty
+    samples, out = tmp_path / "samples.json", tmp_path / "rec.json"
+    samples.write_text(json.dumps({"vertices": order[2:9], "values": [1.0] * 7}), encoding="utf-8")
+    argv = ["reconstruct", "--dir", str(d), "--samples", str(samples), "--method", "pocs", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: samples that are not the first picks of the selection need --omega\n"
+    assert not out.exists()
+    # an explicit cutoff serves any samples
+    assert main(argv + ["--omega", "1.0"]) == 0
+
+
 # left out of every manifest: argparse's own fields, and the worker count, on which no output depends
 UNRECORDED = ("command", "bench_command", "func", "threads")
 
@@ -611,7 +651,9 @@ UNRECORDED = ("command", "bench_command", "func", "threads")
 def test_manifest_records_every_flag_in_parser_order(tmp_path, argv, output):
     gen(tmp_path, "--q", "degree")
     assert main(["select", "--dir", str(tmp_path), "--q", "degree", "--m", "6"]) == 0
-    (tmp_path / "six.json").write_text(SIX_SAMPLES, encoding="utf-8")
+    # the six picks, so that PoCS defaults to their own cutoff
+    order = read_json(tmp_path / "selection_degree.json")["order"]
+    (tmp_path / "six.json").write_text(json.dumps({"vertices": order, "values": [1.0] * 6}), encoding="utf-8")
     argv = [a.format(d=tmp_path) for a in argv]
     assert main(argv) == 0
     manifest = read_json(tmp_path / output)

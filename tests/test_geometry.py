@@ -5,6 +5,7 @@ import pytest
 
 import graphsampling as gs
 from graphsampling.errors import DegenerateCellError
+from helpers import cluster_cloud, kernel_weights_oracle, voronoi_oracle
 
 
 class TestSamplePoints:
@@ -95,6 +96,60 @@ class TestVoronoiAreas:
             gs.voronoi_areas(gs.PointCloud(pts, 10.0))
 
 
+def _areas_or_site(fn, pc):
+    """Area bytes, or the site of the ``DegenerateCellError`` raised."""
+    try:
+        return np.asarray(fn(pc)).tobytes()
+    except DegenerateCellError as exc:
+        return exc.site
+
+
+def _same_as_oracles(pc):
+    assert _areas_or_site(lambda c: gs.voronoi_areas(c).entries, pc) == _areas_or_site(voronoi_oracle, pc)
+    for sigma in (0.3, 1.0, 2.7):
+        assert gs.gaussian_kernel_graph(pc, sigma).weights.tobytes() == kernel_weights_oracle(pc, sigma).tobytes()
+
+
+class TestBitForBitOracles:
+    """The float-list Voronoi loop and the two-plane kernel distances equal the numpy-scalar oracles bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 100, 400])
+    def test_random_clouds(self, n):
+        for seed in range(10):
+            pc = gs.sample_points(gs.GeoConfig(n=n, seed=seed), np.random.default_rng(seed))
+            _same_as_oracles(pc)
+
+    @pytest.mark.parametrize("ticks", [np.linspace(0.0, 10.0, 5), np.arange(1.0, 10.0, 2.0)])
+    def test_lattice_ties_and_bisectors_through_vertices(self, ticks):
+        # exact distance ties everywhere, and each cell's last bisectors pass through its corners
+        pts = np.array([[px, py] for px in ticks for py in ticks])
+        areas = gs.voronoi_areas(gs.PointCloud(pts, 10.0)).entries
+        assert areas.sum() == pytest.approx(100.0, abs=1e-12)
+        _same_as_oracles(gs.PointCloud(pts, 10.0))
+
+    def test_sites_on_edges_and_corners(self, rng):
+        corners = [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]
+        for t in ([5.0], rng.uniform(0.0, 10.0, 3).tolist()):
+            edges = [[s, 0.0] for s in t] + [[10.0, s] for s in t] + [[s, 10.0] for s in t] + [[0.0, s] for s in t]
+            inside = rng.uniform(0.0, 10.0, (2 * len(t), 2)).tolist()
+            _same_as_oracles(gs.PointCloud(np.array(corners + edges + inside), 10.0))
+
+    @pytest.mark.parametrize("spread", [0.35, 3.0])
+    def test_cluster_clouds_clipped_onto_the_boundary(self, spread):
+        for seed in range(10):
+            pc, _ = cluster_cloud(seed, spread=spread)
+            _same_as_oracles(pc)
+
+    @pytest.mark.parametrize("twin", [1, 4, 9])
+    def test_coincident_sites_fail_at_the_same_site(self, twin):
+        pts = np.random.default_rng(twin).uniform(0.0, 10.0, (10, 2))
+        pts[twin] = pts[3]
+        pc = gs.PointCloud(pts, 10.0)
+        site = _areas_or_site(voronoi_oracle, pc)
+        assert isinstance(site, int)
+        assert _areas_or_site(lambda c: gs.voronoi_areas(c).entries, pc) == site
+
+
 class TestSinewave:
     def test_zero_at_origin(self):
         pc = gs.PointCloud(np.array([[0.0, 3.0]]), 10.0)
@@ -145,3 +200,37 @@ class TestConfigValidation:
     def test_point_cloud_bounds(self):
         with pytest.raises(ValueError):
             gs.PointCloud(np.array([[11.0, 1.0]]), 10.0)
+
+    def test_nan_position_rejected(self):
+        # a NaN site once passed and surfaced as a degenerate Voronoi cell of site 0
+        with pytest.raises(ValueError, match="positions must be finite"):
+            gs.PointCloud(np.array([[1.0, 1.0], [np.nan, 2.0]]), 10.0)
+
+    @pytest.mark.parametrize("side", [np.inf, 1e160], ids=["infinite", "square-overflows"])
+    def test_side_must_have_a_finite_square(self, side):
+        with pytest.raises(ValueError, match="side must be positive with a finite square"):
+            gs.PointCloud(np.array([[1.0, 1.0]]), side)
+        with pytest.raises(ValueError, match="side must be positive with a finite square"):
+            gs.GeoConfig(side=side)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 5.0), ("n", True), ("seed", 1.5), ("seed", False), ("proxy_k", 2.7), ("proxy_k", "3")],
+    )
+    def test_integer_fields_take_integers_only(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            gs.GeoConfig(**{field: value})
+
+    def test_numpy_integer_fields_become_ints(self):
+        cfg = gs.GeoConfig(n=np.int64(7), seed=np.int32(2), proxy_k=np.uint8(3))
+        assert [type(v) for v in (cfg.n, cfg.seed, cfg.proxy_k)] == [int, int, int]
+
+    def test_sinewave_cycles_must_be_an_integer(self):
+        pc = gs.PointCloud(np.array([[1.0, 1.0]]), 10.0)
+        with pytest.raises(ValueError, match="^cycles must be an integer"):
+            gs.sinewave_signal(pc, 2.7)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be finite and nonnegative"):
+            gs.add_noise(np.zeros(3), sigma, np.random.default_rng(0))
