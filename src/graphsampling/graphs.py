@@ -92,7 +92,7 @@ class InnerProduct:
 
 def identity_inner_product(n: int) -> InnerProduct:
     """The plain dot product on ``n`` vertices."""
-    return InnerProduct("identity", np.ones(int(n)))
+    return InnerProduct("identity", np.ones(_integer(n, "vertex count n")))
 
 
 def combinatorial_laplacian(g: Graph) -> np.ndarray:

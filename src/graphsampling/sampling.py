@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyVertexSetError, InvalidTargetError, ZeroSignalError
-from .graphs import InnerProduct, _freeze, _integer, complement, q_norm, vertex_set
+from .graphs import InnerProduct, _freeze, _integer, q_norm, vertex_set
 from .spectral import SpectralBasis, compute_basis
 
 DEFAULT_PROXY_ORDER = 3
@@ -62,45 +62,6 @@ def proxy_operator(variation, inner: InnerProduct, keep, k: int = DEFAULT_PROXY_
     return scaled[:, keep] / np.sqrt(q[keep])[None, :]
 
 
-@dataclass(frozen=True)
-class CutoffEstimate:
-    """A cutoff frequency together with the signal that attains it.
-
-    ``minimizer`` has unit Euclidean norm and is exactly zero on the
-    sampled vertices.
-    """
-
-    omega: float
-    minimizer: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "minimizer")
-
-
-def cutoff_frequency(
-    variation,
-    inner: InnerProduct,
-    sampled,
-    k: int = DEFAULT_PROXY_ORDER,
-) -> CutoffEstimate:
-    """Smallest proxy bandwidth among signals vanishing on ``sampled``.
-
-    Computed from the eigendecomposition of the symmetrized operator ``B``
-    and one ``eigh`` of ``B^{2k}`` restricted to the unsampled vertices: the
-    route the refresh steps of :func:`greedy_select` take, about one pick in
-    ``sqrt(p)``. Its other picks reach the same eigenvalue through the r x r
-    secular equation of the last decomposition, deleting the r rows picked
-    since, and those of the first block are free of the ``eps ||B^{2k}||``
-    floor this route inherits from squaring ``B^k``.
-    """
-    k = _check_order(k)
-    keep = complement(sampled, inner.n)
-    if keep.size == 0:
-        raise EmptyVertexSetError("every vertex is sampled; no cutoff exists")
-    v, d = _eigenpairs(compute_basis(variation, inner), k)
-    return _restricted_cutoff((v * d) @ v.T, inner, keep, k)
-
-
 def _eigenpairs(basis: SpectralBasis, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(V, d)`` with ``B = Q^{-1/2} L Q^{-1/2} = V diag(lam) V^T`` and ``d = lam ** (2k)``.
 
@@ -111,28 +72,9 @@ def _eigenpairs(basis: SpectralBasis, k: int) -> tuple[np.ndarray, np.ndarray]:
     return basis.modes * np.sqrt(basis.inner.entries)[:, None], basis.frequencies ** (2 * k)
 
 
-def _restricted_cutoff(gram: np.ndarray, inner: InnerProduct, keep: np.ndarray, k: int) -> CutoffEstimate:
-    """Cutoff from the smallest eigenpair of ``gram = B^{2k}`` restricted to ``keep``.
-
-    The eigenvector lives in Euclidean coordinates; dividing by
-    ``sqrt(q[keep])`` maps it back to a signal on the graph.
-    """
-    vals, vecs = np.linalg.eigh(gram[np.ix_(keep, keep)])
-    phi = np.zeros(inner.n)
-    phi[keep] = _canonical_sign(vecs[:, 0] / np.sqrt(inner.entries[keep]))
-    return CutoffEstimate(_omega(vals[0], k), phi)
-
-
 def _omega(power: float, k: int) -> float:
     """Cutoff from an eigenvalue of ``B^{2k}``, whose roundoff may be negative."""
     return max(float(power), 0.0) ** (1.0 / (2.0 * k))
-
-
-def _canonical_sign(phi: np.ndarray) -> np.ndarray:
-    """Unit-norm copy of ``phi`` whose first entry above 1e-12 in magnitude is positive."""
-    phi = phi / np.linalg.norm(phi)
-    lead = np.argmax(np.abs(phi) > 1e-12)
-    return -phi if phi[lead] < 0.0 else phi
 
 
 @dataclass(frozen=True)
@@ -279,17 +221,17 @@ def greedy_select(
     last decomposed. Every pick deletes the ``r`` rows picked since it, and
     the r x r secular equation of the held pair gives the new eigenpair in
     typically 2 or 3 iterations of O(r^2 p + r^3). Once ``r^2 > p`` the
-    restriction is decomposed afresh from ``B^{2k}``, the route
-    ``cutoff_frequency`` takes, and held in turn: about one pick in
-    ``sqrt(p)``, so 12 decompositions for m = 90 at n = 100 and 4 for m = 80
-    at n = 400. The crossover is measured with one BLAS thread: a block step
-    costs 0.15-0.38 ms at p <= 100 (mean 0.21 ms) against 1.0 ms for an
-    ``eigh`` of size 89, and 0.3-1.3 ms at p <= 400 (mean 0.9 ms) against
-    20 ms for one of size 380; fitted to these costs, ``r^2 > p`` is within
-    5% of the cheapest fixed block length per pick at both sizes. Cutoffs
-    of the first block's picks, the first ``sqrt(n)``, are exact to
-    roundoff; later ones inherit the ``eps ||B^{2k}||`` floor of the squared
-    restriction they delete from. Deterministic for fixed inputs.
+    restriction is decomposed afresh from ``B^{2k}`` and held in turn:
+    about one pick in ``sqrt(p)``, so 12 decompositions for m = 90 at
+    n = 100 and 4 for m = 80 at n = 400. The crossover is measured with one
+    BLAS thread: a block step costs 0.15-0.38 ms at p <= 100 (mean 0.21 ms)
+    against 1.0 ms for an ``eigh`` of size 89, and 0.3-1.3 ms at p <= 400
+    (mean 0.9 ms) against 20 ms for one of size 380; fitted to these costs,
+    ``r^2 > p`` is within 5% of the cheapest fixed block length per pick at
+    both sizes. Cutoffs of the first block's picks, the first ``sqrt(n)``,
+    are exact to roundoff; later ones inherit the ``eps ||B^{2k}||`` floor
+    of the squared restriction they delete from. Deterministic for fixed
+    inputs.
 
     Raises
     ------

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotFiniteError
-from .graphs import InnerProduct, _freeze
+from .graphs import InnerProduct, _freeze, _integer
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,7 @@ def bandlimit_split(basis: SpectralBasis, x, modes_kept: int):
     Returns ``(low, high)`` with ``x == low + high`` and the two parts
     orthogonal in the basis inner product.
     """
+    modes_kept = _integer(modes_kept, "modes_kept")
     if not 0 <= modes_kept <= basis.n:
         raise ValueError(f"modes_kept must lie in [0, {basis.n}]")
     x = np.asarray(x, dtype=float)

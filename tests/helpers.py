@@ -73,6 +73,21 @@ def explicit_cutoff(lap, inner, sampled, k):
     return np.linalg.svd(h, compute_uv=False)[-1] ** (1.0 / k)
 
 
+def restricted_cutoff(lap, inner, sampled, k):
+    """Cutoff from one ``eigvalsh`` of ``B^{2k}`` restricted to the unsampled vertices.
+
+    The route the selector's refresh steps take: ``B^{2k} = V diag(lam^{2k}) V^T``
+    from the eigendecomposition of ``B = Q^{-1/2} L Q^{-1/2}``, its smallest
+    eigenvalue on ``keep`` clamped at 0, then the 2k-th root. Squaring ``B^k``
+    leaves it on the ``eps ||B^{2k}||`` floor that :func:`explicit_cutoff` avoids.
+    """
+    basis = gs.compute_basis(lap, inner)
+    v = basis.modes * np.sqrt(inner.entries)[:, None]
+    keep = gs.complement(sampled, inner.n)
+    power = np.linalg.eigvalsh(((v * basis.frequencies ** (2 * k)) @ v.T)[np.ix_(keep, keep)])[0]
+    return max(float(power), 0.0) ** (1.0 / (2 * k))
+
+
 def kernel_weights_oracle(pc, sigma):
     """Gaussian kernel weights from a sum over the (n, n, 2) stack of coordinate differences."""
     diff = pc.positions[:, None, :] - pc.positions[None, :, :]

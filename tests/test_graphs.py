@@ -47,7 +47,6 @@ READ_ONLY_FIELDS = {
     "PointCloud.positions": (gs.PointCloud, {"positions": [[1.0, 2.0]], "side": 10.0}),
     "SpectralBasis.modes": _BASIS,
     "SpectralBasis.frequencies": _BASIS,
-    "CutoffEstimate.minimizer": (gs.CutoffEstimate, {"omega": 0.5, "minimizer": [1.0, 0.0]}),
     "SamplingResult.order": _SELECTION,
     "SamplingResult.cutoffs": _SELECTION,
     "ReconstructionReport.x_hat": (gs.ReconstructionReport, {"x_hat": [1.0, 2.0], "iters": 0, "residual_s": 0.0}),
@@ -116,6 +115,11 @@ class TestWeightedInnerProduct:
         inner = gs.identity_inner_product(6)
         x, y = rng.standard_normal(6), rng.standard_normal(6)
         assert gs.q_inner(x, y, inner) == pytest.approx(float(x @ y), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2.7, True])
+    def test_identity_rejects_non_integer_size(self, n):
+        with pytest.raises(ValueError, match="vertex count n must be an integer"):
+            gs.identity_inner_product(n)
 
     def test_sqrt_five_norm(self):
         inner = gs.InnerProduct("custom", [2.0, 3.0])

@@ -1,7 +1,6 @@
 """The package exports only what its pipeline, its benchmark or its acceptance gates run."""
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -23,20 +22,19 @@ def _defines(node: ast.stmt, name: str) -> bool:
     return isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
 
 
-def _without_own_definition(path: Path, name: str) -> str:
-    """Text of ``path`` with the lines of the top-level definition of ``name``, if any, left out."""
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    for node in ast.parse(text).body:
+def _uses(path: Path, name: str) -> bool:
+    """Whether code in ``path``, outside the top-level definition of ``name``, names it or reads it as an attribute."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if _defines(node, name):
-            del lines[node.lineno - 1 : node.end_lineno]
-            break
-    return "\n".join(lines)
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id == name or isinstance(sub, ast.Attribute) and sub.attr == name:
+                return True
+    return False
 
 
 @pytest.mark.parametrize("name", sorted(gs.__all__))
 def test_every_export_has_a_caller(name):
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    assert any(word.search(_without_own_definition(path, name)) for path in CALLERS), (
+    assert any(_uses(path, name) for path in CALLERS), (
         f"{name} is exported, but no module, benchmark file or acceptance gate uses it"
     )

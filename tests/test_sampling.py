@@ -18,6 +18,7 @@ from helpers import (
     brute_force_singleton,
     explicit_cutoff,
     geometric_instance,
+    restricted_cutoff,
 )
 
 PATH3_LAP = np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]])
@@ -150,43 +151,25 @@ class TestProxyOperator:
 
 
 class TestCutoff:
-    def test_empty_sampling_set_gives_zero(self):
-        _, g, lap = geometric_instance(seed=7, n=8, kernel_sigma=3.0)
-        inner = gs.identity_inner_product(8)
-        # the unconstrained minimum sits at the kernel mode; the k-th root
-        # of the eigensolver noise floor bounds what zero can look like
-        assert gs.cutoff_frequency(lap, inner, [], k=1).omega <= 1e-6
-        assert gs.cutoff_frequency(lap, inner, [], k=3).omega <= 0.05
-
     def test_path_center_matches_grid_minimization(self):
         inner = gs.identity_inner_product(3)
-        est = gs.cutoff_frequency(PATH3_LAP, inner, [1], k=1)
+        res = gs.greedy_select(PATH3_LAP, inner, 1, k=1)
+        assert res.order.tolist() == [1]
         # dense scan over unit signals vanishing at the center
         angles = np.linspace(0.0, np.pi, 200001)
         candidates = np.stack([np.cos(angles), np.zeros_like(angles), np.sin(angles)])
         ratios = np.linalg.norm(PATH3_LAP @ candidates, axis=0)
-        assert abs(est.omega - ratios.min()) <= 1e-4
-        assert est.omega == pytest.approx(1.0, abs=1e-10)
-
-    def test_minimizer_invariants(self):
-        pc, g, lap = geometric_instance(seed=8, n=9)
-        inner = gs.voronoi_areas(pc)
-        est = gs.cutoff_frequency(lap, inner, [2, 5], k=3)
-        assert abs(np.linalg.norm(est.minimizer) - 1.0) <= 1e-10
-        assert est.minimizer[2] == 0.0 and est.minimizer[5] == 0.0
+        assert abs(res.cutoffs[0] - ratios.min()) <= 1e-4
+        assert res.cutoffs[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_lower_bounds_the_proxy(self, rng):
         pc, g, lap = geometric_instance(seed=9, n=9, kernel_sigma=2.0)
         for inner in all_inners(g, pc).values():
-            est = gs.cutoff_frequency(lap, inner, [0, 4], k=3)
+            res = gs.greedy_select(lap, inner, 2, k=3)
             for _ in range(200):
                 x = rng.standard_normal(9)
-                x[[0, 4]] = 0.0
-                assert gs.spectral_proxy(lap, inner, x, k=3) >= est.omega - 1e-9
-
-    def test_all_vertices_sampled_rejected(self):
-        with pytest.raises(EmptyVertexSetError):
-            gs.cutoff_frequency(PATH3_LAP, gs.identity_inner_product(3), [0, 1, 2])
+                x[res.order] = 0.0
+                assert gs.spectral_proxy(lap, inner, x, k=3) >= res.cutoffs[-1] - 1e-9
 
 
 class TestGreedySelect:
@@ -262,8 +245,8 @@ class TestGreedySelect:
         inner = gs.degree_matrix(g)
         res = gs.greedy_select(lap, inner, 4, k=3)
         for step in range(4):
-            est = gs.cutoff_frequency(lap, inner, res.order[: step + 1], k=3)
-            assert abs(res.cutoffs[step] - est.omega) <= 1e-9 * max(1.0, est.omega)
+            ref = restricted_cutoff(lap, inner, res.order[: step + 1], 3)
+            assert abs(res.cutoffs[step] - ref) <= 1e-9 * max(1.0, ref)
 
     def test_snapshot_identity_weights(self):
         # frozen self-consistency snapshot, seed 3, kernel width 2.5
@@ -292,16 +275,17 @@ class TestGreedySelect:
             assert abs(res.cutoffs[size - 1] - oracle) <= 1e-7 * oracle
 
     @pytest.mark.parametrize("seed, variant", list(GROWTH_PICKS))
-    def test_secular_growth_cutoffs_match_cutoff_frequency(self, seed, variant):
+    def test_secular_growth_cutoffs_match_restricted_cutoff(self, seed, variant):
         # odd sizes come from the previous step's eigendecomposition with one
-        # row deleted; cutoff_frequency decomposes each restriction afresh, and
-        # both sit on the roundoff floor n eps lambda_max^{2k} of B^{2k}
+        # row deleted; the reference decomposes each restriction of B^{2k}
+        # afresh, as the selector's refresh steps do, and both sit on the
+        # roundoff floor n eps lambda_max^{2k} of B^{2k}
         pc, g, lap = geometric_instance(seed=seed, n=100)
         inner = all_inners(g, pc)[variant]
         res = gs.greedy_select(lap, inner, 59, k=3)
         floor = 100 * np.finfo(float).eps * gs.compute_basis(lap, inner).frequencies[-1] ** 6
         for size in range(3, 60, 2):
-            ref = gs.cutoff_frequency(lap, inner, res.order[:size], k=3).omega
+            ref = restricted_cutoff(lap, inner, res.order[:size], 3)
             assert abs(res.cutoffs[size - 1] ** 6 - ref**6) <= floor
 
     def test_growth_phase_decomposes_once_per_block(self, monkeypatch):

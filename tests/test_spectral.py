@@ -132,6 +132,11 @@ class TestBandlimitSplit:
         np.testing.assert_array_equal(low, np.zeros(12))
         np.testing.assert_allclose(high, x, atol=1e-14)
 
+    @pytest.mark.parametrize("modes_kept", [1.5, True])
+    def test_non_integer_count_rejected(self, basis, modes_kept):
+        with pytest.raises(ValueError, match="modes_kept must be an integer"):
+            gs.bandlimit_split(basis, np.ones(12), modes_kept)
+
     def test_parts_are_orthogonal(self, basis, rng):
         for _ in range(10):
             x = rng.standard_normal(12)
