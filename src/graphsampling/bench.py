@@ -56,8 +56,9 @@ def sample_sizes(n: int, fracs: Sequence[float]) -> list[int]:
     """Distinct sample counts for the given fractions, each in ``[1, n)``."""
     if n < 2:
         raise ValueError("need at least 2 vertices to sample a proper subset")
-    sizes = sorted({min(max(int(round(f * n)), 1), n - 1) for f in fracs})
-    return sizes
+    if not fracs:
+        raise ValueError("need at least one sampling fraction")
+    return sorted({min(max(int(round(f * n)), 1), n - 1) for f in fracs})
 
 
 def _fmt(value) -> str:
@@ -236,6 +237,9 @@ def run_mse_experiment(
         raise ValueError("need at least one signal and one noise level")
     cycles = tuple(_integer(c, "signal_cycles") for c in signal_cycles)
     sigmas = tuple(float(s) for s in noise_sigmas)
+    for name, values in (("signal_cycles", cycles), ("noise_sigmas", sigmas)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be distinct, got {list(values)}")
 
     def draw(rng, pc, inners):
         # the Voronoi areas are also the error metric

@@ -191,9 +191,9 @@ class PocsParams:
 
     def __post_init__(self):
         if not self.lambda_max > 0:
-            raise ValueError("lambda_max must be positive")
+            raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
         if not 0.0 <= self.omega <= self.lambda_max:
-            raise ValueError("omega must lie in [0, lambda_max]")
+            raise ValueError(f"omega must lie in [0, lambda_max] = [0, {self.lambda_max}], got {self.omega}")
         object.__setattr__(self, "cheb_order", _integer(self.cheb_order, "cheb_order"))
         if self.cheb_order < 0:
             raise ValueError(f"cheb_order must be nonnegative, got {self.cheb_order}")
@@ -201,11 +201,11 @@ class PocsParams:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 2.0 * math.log(11.5) / (0.1 * self.lambda_max))
         elif not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 def lowpass_response(freqs, omega: float, alpha: float) -> np.ndarray:

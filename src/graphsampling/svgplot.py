@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -14,6 +13,11 @@ _MARGIN_LEFT = 70.0
 _MARGIN_RIGHT = 150.0
 _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 55.0
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without its extra entities, so the module imports no XML or network stack."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _finite_points(xs, ys, log_y):
@@ -59,7 +63,7 @@ def line_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="22" font-size="15" text-anchor="middle" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
     ]
 
     if all_pts:
@@ -136,7 +140,7 @@ def line_chart(
             )
             out.append(
                 f'<text x="{lx + 28:.1f}" y="{ly:.1f}" font-size="12" '
-                f'font-family="sans-serif">{escape(label)}</text>'
+                f'font-family="sans-serif">{_escape(label)}</text>'
             )
     else:
         out.append(
@@ -146,12 +150,12 @@ def line_chart(
 
     out.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12:.1f}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{escape(x_label)}</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_escape(x_label)}</text>'
     )
     out.append(
         f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.1f}" font-size="13" text-anchor="middle" '
         f'font-family="sans-serif" transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.1f})">'
-        f"{escape(y_label + (' (log scale)' if log_y else ''))}</text>"
+        f"{_escape(y_label + (' (log scale)' if log_y else ''))}</text>"
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -5,7 +5,7 @@ import pytest
 
 import graphsampling as gs
 from graphsampling import bench, reconstruction
-from graphsampling.bench import CSV_COLUMNS, _mean_rows
+from graphsampling.bench import CSV_COLUMNS, RECON_METHODS, _mean_rows
 
 
 SMALL = gs.GeoConfig(n=12, seed=21, kernel_sigma=2.0)
@@ -21,6 +21,10 @@ class TestBoundExperiment:
         serial = gs.run_bound_experiment(SMALL, 3, [0.3, 0.6], workers=1)
         threaded = gs.run_bound_experiment(SMALL, 3, [0.3, 0.6], workers=3)
         assert serial.to_csv() == threaded.to_csv()
+
+    def test_empty_fraction_list_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one sampling fraction$"):
+            gs.run_bound_experiment(SMALL, 1, [])
 
     def test_row_grid(self):
         table = gs.run_bound_experiment(SMALL, 1, [0.25, 0.5, 0.75])
@@ -47,10 +51,15 @@ class TestMseExperiment:
         header = table.to_csv().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
 
-    def test_reproducible_csv_bytes(self):
-        a = gs.run_mse_experiment(SMALL, 2, [0.4], [2], [0.2])
-        b = gs.run_mse_experiment(SMALL, 2, [0.4], [2], [0.2], workers=2)
+    @pytest.mark.parametrize("method", RECON_METHODS)
+    def test_reproducible_csv_bytes(self, method):
+        a = gs.run_mse_experiment(SMALL, 2, [0.4], [2], [0.2], method=method)
+        b = gs.run_mse_experiment(SMALL, 2, [0.4], [2], [0.2], method=method, workers=2)
         assert a.to_csv().encode() == b.to_csv().encode()
+
+    def test_empty_fraction_list_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one sampling fraction$"):
+            gs.run_mse_experiment(SMALL, 1, [], [2], [0.1])
 
     def test_signal_cycles_must_be_integers(self):
         # once truncated by int(), so 2.5 cycles ran as 2

@@ -424,6 +424,8 @@ BAD_TRUTHS = {
         (["bench", "mse", "--n", "1", "--realizations", "1", "--threads", "1"], None),
         (["bench", "bound", "--n", "12", "--realizations", "1", "--threads", "0"], None),
         (["bench", "mse", "--n", "12", "--realizations", "1", "--threads", "1", "--variants", "degree,degree"], None),
+        (["bench", "mse", "--n", "12", "--realizations", "1", "--threads", "1", "--signals", "2,2"], None),
+        (["bench", "mse", "--n", "12", "--realizations", "1", "--threads", "1", "--noises", "0.1,0.1"], None),
         (["reconstruct", "--q", "degree", "--band", "2"], '{"values": [1.0, 2.0]}'),
         (["reconstruct", "--q", "degree", "--band", "2"], "not json"),
         (["reconstruct", "--q", "degree", "--band", "2"], '{"vertices": [0, 1.5], "values": [1.0, 2.0]}'),
@@ -456,7 +458,7 @@ BAD_TRUTHS = {
     ],
     ids=[
         "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
-        "zero-threads", "repeated-variant",
+        "zero-threads", "repeated-variant", "repeated-signal", "repeated-noise",
         "no-vertices", "not-json", "fractional-vertex", "samples-list", "samples-string", "values-dict",
         "nan-value",
         "reversed-fracs", "unknown-variant", "non-integer-threads", "non-integer-target",

@@ -76,20 +76,6 @@ class TestVoronoiAreas:
             assert (areas > 0).all()
             assert abs(areas.sum() - 100.0) <= 1e-6
 
-    def test_against_monte_carlo_nearest_site(self):
-        cfg = gs.GeoConfig(n=50, seed=3)
-        pc = gs.sample_points(cfg, np.random.default_rng(3))
-        areas = gs.voronoi_areas(pc).entries
-        mc_rng = np.random.default_rng(1003)
-        counts = np.zeros(50)
-        for _ in range(10):
-            chunk = mc_rng.uniform(0, 10, size=(100_000, 2))
-            d2 = ((chunk[:, None, :] - pc.positions[None, :, :]) ** 2).sum(axis=2)
-            idx, cnt = np.unique(d2.argmin(axis=1), return_counts=True)
-            counts[idx] += cnt
-        estimate = counts / 1_000_000 * 100.0
-        assert (np.abs(areas - estimate) <= 0.02 * areas).all()
-
     def test_coincident_sites_rejected(self):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
         with pytest.raises(DegenerateCellError):

@@ -579,11 +579,13 @@ class TestPocsParams:
         assert type(params.cheb_order) is int and type(params.max_iters) is int
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            gs.PocsParams(omega=5.0, lambda_max=4.0)
-        with pytest.raises(ValueError):
-            gs.PocsParams(omega=1.0, lambda_max=4.0, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            gs.PocsParams(omega=1.0, lambda_max=4.0, max_iters=0)
-        with pytest.raises(ValueError):
-            gs.PocsParams(omega=1.0, lambda_max=4.0, cheb_order=-1)
+        for settings, message in [
+            ({"omega": 5.0, "lambda_max": 4.0}, r"^omega must lie in \[0, lambda_max\] = \[0, 4.0\], got 5.0$"),
+            ({"omega": 0.0, "lambda_max": -1.0}, r"^lambda_max must be positive, got -1.0$"),
+            ({"omega": 1.0, "lambda_max": 4.0, "rel_tol": 0.0}, r"^rel_tol must be positive, got 0.0$"),
+            ({"omega": 1.0, "lambda_max": 4.0, "alpha": -2.0}, r"^alpha must be positive, got -2.0$"),
+            ({"omega": 1.0, "lambda_max": 4.0, "max_iters": 0}, r"^max_iters must be at least 1, got 0$"),
+            ({"omega": 1.0, "lambda_max": 4.0, "cheb_order": -1}, r"^cheb_order must be nonnegative, got -1$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                gs.PocsParams(**settings)

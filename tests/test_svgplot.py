@@ -1,9 +1,14 @@
 """SVG chart rendering."""
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
-from graphsampling.svgplot import line_chart
+import graphsampling
+from graphsampling.svgplot import _escape, line_chart
 
 
 def test_output_is_well_formed_xml():
@@ -48,3 +53,16 @@ def test_deterministic_output():
 def test_empty_series_render_placeholder():
     svg = line_chart([("a", [], [])])
     assert "no finite data" in svg
+
+
+def test_escape_matches_saxutils():
+    for text in ["", "plain", "a & b", "<title>", "&amp;", "&<>\"'", "'x' > \"y\" & <z>", ">>&&<<"]:
+        assert _escape(text) == escape(text)
+
+
+def test_cli_import_loads_no_network_or_xml_stack():
+    # saxutils imports urllib.request, which pulls in http, email and ssl on every CLI start
+    code = "import sys; s = set(sys.modules); import graphsampling.cli; print(*{m.split('.')[0] for m in set(sys.modules) - s})"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(graphsampling.__file__))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert not {"urllib", "http", "email", "ssl", "xml"} & set(run.stdout.split())
