@@ -24,7 +24,7 @@ from .errors import GraphSamplingError, NotFiniteError
 from .geometry import GeoConfig, build_instance
 from .graphs import VARIANTS, InnerProduct, combinatorial_laplacian, graph_from_json, graph_to_json
 from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct
-from .sampling import greedy_select
+from .sampling import DEFAULT_PROXY_ORDER, greedy_select
 from .spectral import _lambda_max, compute_basis
 from .svgplot import line_chart
 
@@ -118,8 +118,8 @@ def _numbers(values, count: int | None = None) -> np.ndarray:
     raise ValueError(f"expected a list of {'' if count is None else f'{count} '}finite numbers")
 
 
-def _inner(doc) -> InnerProduct:
-    return InnerProduct(doc["variant"], _numbers(doc["entries"]))
+def _inner(doc, n: int) -> InnerProduct:
+    return InnerProduct(doc["variant"], _numbers(doc["entries"], n))
 
 
 def _ids(doc, field: str) -> list:
@@ -131,9 +131,15 @@ def _ids(doc, field: str) -> list:
     return ids
 
 
-def _samples(doc) -> tuple[list, np.ndarray]:
-    """``--samples`` ids and values: a list of integer ids and as many finite numbers."""
+def _samples(doc, n: int) -> tuple[list, np.ndarray]:
+    """``--samples`` ids and values: one or more distinct ids in ``[0, n)`` and as many finite numbers."""
     vertices = _ids(doc, "vertices")
+    if not vertices:
+        raise ValueError("at least one sample is required")
+    if not all(0 <= v < n for v in vertices):
+        raise ValueError(f"vertex id out of range [0, {n})")
+    if len(set(vertices)) < len(vertices):
+        raise ValueError("duplicate vertex ids")
     return vertices, _numbers(doc["values"], len(vertices))
 
 
@@ -146,8 +152,6 @@ def _selection(doc) -> tuple[list, np.ndarray]:
 def _own_cutoff(vertices: list, order: list, cutoffs: np.ndarray) -> float:
     """The selection's cutoff of the samples: ``cutoffs[j - 1]`` when their ids are its first ``j`` picks as a set."""
     chosen = set(vertices)
-    if not chosen:
-        raise ValueError("at least one sample is required")
     j = len(chosen)
     if chosen != set(order[:j]):
         raise ValueError("samples that are not the first picks of the selection need --omega")
@@ -232,7 +236,7 @@ def cmd_select(args) -> int:
     directory = Path(args.dir)
     out = _out_file(args.out) if args.out else directory / f"selection_{args.q}.json"
     g = _read_json(directory / "graph.json", graph_from_json)
-    inner = _read_json(directory / f"q_{args.q}.json", _inner)
+    inner = _read_json(directory / f"q_{args.q}.json", lambda doc: _inner(doc, g.n))
     result = greedy_select(combinatorial_laplacian(g), inner, args.m, k=args.k)
     _write_json(
         out,
@@ -253,9 +257,9 @@ def cmd_reconstruct(args) -> int:
     directory = Path(args.dir)
     out = _out_file(args.out) if args.out else directory / "reconstruction.json"
     g = _read_json(directory / "graph.json", graph_from_json)
-    inner = _read_json(directory / f"q_{args.q}.json", _inner)
+    inner = _read_json(directory / f"q_{args.q}.json", lambda doc: _inner(doc, g.n))
     selection_path = Path(args.selection) if args.selection else directory / f"selection_{args.q}.json"
-    vertices, values = _read_json(Path(args.samples), _samples)
+    vertices, values = _read_json(Path(args.samples), lambda doc: _samples(doc, g.n))
     # only PoCS uses the selection, for its default cutoff
     omega = args.omega
     if args.method == "pocs" and omega is None:
@@ -366,15 +370,15 @@ def cmd_bench(args) -> int:
 
 
 def _add_geometry_flags(parser):
-    parser.add_argument("--n", type=int, default=100, help="number of vertices")
-    parser.add_argument("--side", type=_finite, default=10.0, help="square side length")
-    parser.add_argument("--kernel-sigma", type=_finite, default=1.0, help="Gaussian kernel width")
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+    parser.add_argument("--n", type=int, default=GeoConfig.n, help="number of vertices")
+    parser.add_argument("--side", type=_finite, default=GeoConfig.side, help="square side length")
+    parser.add_argument("--kernel-sigma", type=_finite, default=GeoConfig.kernel_sigma, help="Gaussian kernel width")
+    parser.add_argument("--seed", type=int, default=GeoConfig.seed, help="base random seed")
 
 
 def _add_bench_flags(parser, realizations: int, mse: bool = False) -> None:
     _add_geometry_flags(parser)
-    parser.add_argument("--k", type=int, default=3, help="proxy order")
+    parser.add_argument("--k", type=int, default=DEFAULT_PROXY_ORDER, help="proxy order")
     parser.add_argument("--realizations", type=int, default=realizations)
     parser.add_argument("--fracs", type=_parse_fracs, default="0.1:0.9:0.1", help="START:STOP:STEP")
     if mse:
@@ -382,7 +386,7 @@ def _add_bench_flags(parser, realizations: int, mse: bool = False) -> None:
         parser.add_argument("--noises", type=_list_of(_finite), default="0.1,0.2,0.4", help="noise levels")
         parser.add_argument("--recon", choices=RECON_METHODS, default="closed-form")
         parser.add_argument("--log-scale", action="store_true", help="log-scale error axis in SVG")
-    parser.add_argument("--variants", type=_parse_variants, default="identity,degree,voronoi")
+    parser.add_argument("--variants", type=_parse_variants, default=",".join(VARIANTS))
     parser.add_argument("--threads", type=int, default=1, help="worker threads; raise only with BLAS on one thread")
     parser.add_argument("--out", default=".", help="output directory")
     parser.set_defaults(func=cmd_bench)
@@ -405,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--dir", default=".", help="directory holding gen outputs")
     sel.add_argument("--q", choices=VARIANTS, default="voronoi", help="inner product variant")
     sel.add_argument("--m", type=int, required=True, help="target sampling set size")
-    sel.add_argument("--k", type=int, default=3, help="proxy order")
+    sel.add_argument("--k", type=int, default=DEFAULT_PROXY_ORDER, help="proxy order")
     sel.add_argument("--out", default=None, help="output file (default selection_<q>.json)")
     sel.set_defaults(func=cmd_select)
 
@@ -418,10 +422,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega", type=_finite, default=None, help="low-pass cutoff (default: the selection's cutoff of the samples)"
     )
     rec.add_argument("--alpha", type=_finite, default=None, help="low-pass sharpness")
-    rec.add_argument("--cheb-order", type=int, default=60, help="PoCS filter order: degree of the Chebyshev series")
-    rec.add_argument("--max-iters", type=int, default=500, help="PoCS bound on filter applications (iters)")
     rec.add_argument(
-        "--rel-tol", type=_finite, default=1e-8, help="PoCS bound on the relative change one more sweep would make"
+        "--cheb-order",
+        type=int,
+        default=PocsParams.cheb_order,
+        help="PoCS filter order: degree of the Chebyshev series",
+    )
+    rec.add_argument(
+        "--max-iters", type=int, default=PocsParams.max_iters, help="PoCS bound on filter applications (iters)"
+    )
+    rec.add_argument(
+        "--rel-tol",
+        type=_finite,
+        default=PocsParams.rel_tol,
+        help="PoCS bound on the relative change one more sweep would make",
     )
     rec.add_argument("--samples", required=True, help="JSON file with sampled vertices and values")
     rec.add_argument("--selection", default=None, help="selection file (default selection_<q>.json)")

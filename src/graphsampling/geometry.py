@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import DegenerateCellError
 from .graphs import Graph, InnerProduct, _freeze, _integer, combinatorial_laplacian
+from .sampling import DEFAULT_PROXY_ORDER
 
 
 def _check_side(side) -> None:
@@ -47,7 +48,7 @@ class GeoConfig:
     side: float = 10.0
     kernel_sigma: float = 1.0
     seed: int = 0
-    proxy_k: int = 3
+    proxy_k: int = DEFAULT_PROXY_ORDER
 
     def __post_init__(self):
         for name in ("n", "seed", "proxy_k"):

@@ -23,9 +23,6 @@ def _escape(text: str) -> str:
 def _finite_points(xs, ys, log_y):
     pts = []
     for x, y in zip(xs, ys):
-        if x is None or y is None:
-            pts.append(None)
-            continue
         x, y = float(x), float(y)
         bad = not (math.isfinite(x) and math.isfinite(y)) or (log_y and y <= 0)
         pts.append(None if bad else (x, math.log10(y) if log_y else y))
@@ -33,8 +30,6 @@ def _finite_points(xs, ys, log_y):
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 

@@ -6,6 +6,9 @@ import graphsampling as gs
 from graphsampling.errors import DegenerateCellError
 
 
+PATH3_LAP = np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]])
+
+
 def geometric_instance(seed, n=12, side=10.0, kernel_sigma=1.0):
     """Point cloud, kernel graph, and Laplacian for one seeded instance."""
     cfg = gs.GeoConfig(n=n, side=side, kernel_sigma=kernel_sigma, seed=seed)
@@ -14,11 +17,7 @@ def geometric_instance(seed, n=12, side=10.0, kernel_sigma=1.0):
 
 def all_inners(g, pc):
     """The three inner products used throughout the experiments."""
-    return {
-        "identity": gs.identity_inner_product(g.n),
-        "degree": gs.degree_matrix(g),
-        "voronoi": gs.voronoi_areas(pc),
-    }
+    return {v: gs.inner_for_variant(v, g, pc) for v in gs.VARIANTS}
 
 
 def cluster_cloud(seed, per=13, spread=0.35, side=10.0):
@@ -49,15 +48,9 @@ def laplacian_quadratic_oracle(w, x):
 
 def brute_force_singleton(lap, inner, k):
     """Exhaustive argmax of the singleton cutoff, via explicit powers and SVD."""
-    n = inner.n
-    q = inner.entries
-    zk = np.linalg.matrix_power(lap / q[:, None], k)
-    scaled = np.sqrt(q)[:, None] * zk
     best, best_val = -1, -1.0
-    for i in range(n):
-        keep = np.array([j for j in range(n) if j != i])
-        h = scaled[:, keep] / np.sqrt(q[keep])[None, :]
-        omega = np.linalg.svd(h, compute_uv=False)[-1] ** (1.0 / k)
+    for i in range(inner.n):
+        omega = explicit_cutoff(lap, inner, [i], k)
         if omega > best_val:
             best, best_val = i, omega
     return best, best_val

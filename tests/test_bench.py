@@ -1,11 +1,14 @@
 """Benchmark drivers: determinism, schema, aggregation, and trend sanity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import graphsampling as gs
 from graphsampling import bench, reconstruction
 from graphsampling.bench import CSV_COLUMNS, RECON_METHODS, _mean_rows
+from graphsampling.errors import RankDeficientError
 
 
 SMALL = gs.GeoConfig(n=12, seed=21, kernel_sigma=2.0)
@@ -42,6 +45,40 @@ class TestBoundExperiment:
         expected = gs.e_opt_metric(basis, selection.head(6), 6)
         assert table.rows[0].mean_value == pytest.approx(expected, abs=1e-12)
         assert table.rows[0].sample_size == 6
+
+
+# sample_sizes(12, FRACS) == [3, 6]; cells of 3 samples are made to fail
+FRACS, FAIL_SIZE = [0.25, 0.5], 3
+
+
+def rank_deficient(*args, **kwargs):
+    raise RankDeficientError(0.0)
+
+
+def non_finite(*args, **kwargs):
+    rep = reconstruction._pocs_solve(*args, **kwargs)
+    return dataclasses.replace(rep, x_hat=np.full_like(rep.x_hat, np.inf))
+
+
+@pytest.mark.parametrize(
+    "name, ids_at, fail, run",
+    [
+        ("e_opt_metric", 1, rank_deficient, lambda: gs.run_bound_experiment(SMALL, 3, FRACS)),
+        ("consistent_reconstruct", 1, rank_deficient, lambda: gs.run_mse_experiment(SMALL, 3, FRACS, [2], [0.1])),
+        ("_pocs_solve", 2, non_finite, lambda: gs.run_mse_experiment(SMALL, 3, FRACS, [2], [0.1], method="pocs")),
+    ],
+    ids=["bound-rank-deficient", "mse-rank-deficient", "mse-non-finite"],
+)
+def test_failed_cells_read_nan_for_every_realization(monkeypatch, name, ids_at, fail, run):
+    clean = run().rows
+    assert not any(row.n_failed for row in clean)
+    original = getattr(bench, name)
+    monkeypatch.setattr(bench, name, lambda *a, **k: (fail if len(a[ids_at]) == FAIL_SIZE else original)(*a, **k))
+    for before, after in zip(clean, run().rows, strict=True):
+        if after.sample_size == FAIL_SIZE:
+            assert np.isnan(after.mean_value) and after.stderr == 0.0 and after.n_failed == 3
+        else:
+            assert after == before
 
 
 class TestMseExperiment:

@@ -556,8 +556,14 @@ def test_bad_truth_is_named_before_any_work(tmp_path, capsys, monkeypatch, metho
         ('{"vertices": [0, 1, 2], "values": [1.0, 2.0]}', "expected a list of 3 finite numbers"),
         ('{"vertices": [0, 1], "values": [NaN, 2.0]}', "expected a list of 2 finite numbers"),
         ('{"vertices": [0, 1], "values": [1' + "0" * 400 + ', 2.0]}', "expected a list of 2 finite numbers"),
+        ('{"vertices": [0, 99], "values": [1.0, 2.0]}', "vertex id out of range [0, 24)"),
+        ('{"vertices": [3, 3], "values": [1.0, 2.0]}', "duplicate vertex ids"),
+        ('{"vertices": [], "values": []}', "at least one sample is required"),
     ],
-    ids=["list", "boolean-id", "string-value", "unequal-lengths", "nan-value", "int-beyond-double"],
+    ids=[
+        "list", "boolean-id", "string-value", "unequal-lengths", "nan-value", "int-beyond-double", "id-out-of-range",
+        "duplicate-id", "no-samples",
+    ],
 )
 def test_bad_samples_are_named_before_any_work(tmp_path, capsys, monkeypatch, text, problem):
     gen(tmp_path, "--q", "degree")
@@ -687,6 +693,7 @@ POCS = ["reconstruct", "--method", "pocs"]
         ("q_degree.json", '{"variant": "degree", "entries": [' + ", ".join(["true"] * 24) + "]}", ["select", "--m", "4"]),
         ("q_degree.json", '{"variant": "degree", "entries": [' + ", ".join(['"1.0"'] * 24) + "]}", ["reconstruct"]),
         ("q_degree.json", '{"variant": "degree"}', ["select", "--m", "4"]),
+        ("q_degree.json", '{"variant": "degree", "entries": [' + ", ".join(["1.0"] * 23) + "]}", ["reconstruct"]),
         ("selection_degree.json", '{"cutoffs": 5}', POCS),
         ("selection_degree.json", "not json", POCS),
         ("selection_degree.json", '{"cutoffs": []}', POCS),
@@ -697,7 +704,7 @@ POCS = ["reconstruct", "--method", "pocs"]
         "graph-list", "graph-edges-number", "graph-not-json", "graph-no-n", "graph-boolean-n", "graph-float-n",
         "graph-negative-n", "graph-payload-list", "graph-not-base64", "graph-payload-unpadded", "graph-payload-short",
         "inner-list", "inner-not-json", "inner-booleans",
-        "inner-strings", "inner-no-entries", "cutoffs-number", "selection-not-json", "cutoffs-empty",
+        "inner-strings", "inner-no-entries", "short-entries", "cutoffs-number", "selection-not-json", "cutoffs-empty",
         "cutoffs-boolean", "cutoffs-string",
     ],
 )

@@ -320,10 +320,6 @@ class TestChebyshevSeries:
         oracle = gs.lowpass_response(nodes, 3.0, params.alpha).mean()
         assert 0.5 * coeffs[0] == pytest.approx(oracle, abs=1e-8)
 
-    def test_coefficient_count(self):
-        params = gs.PocsParams(omega=1.0, lambda_max=4.0, cheb_order=25)
-        assert _cheb_coeffs(params).shape == (26,)
-
     @pytest.mark.parametrize("order", [0, 1, 2, 60])
     def test_cached_coefficients_are_bit_identical(self, order):
         params = gs.PocsParams(omega=1.3, lambda_max=7.0, cheb_order=order)
@@ -351,14 +347,6 @@ class TestChebyshevSeries:
         assert stacked.shape == (4, 37)
         for row, out in zip(coeffs, stacked):
             np.testing.assert_array_equal(out, gs.evaluate_cheb_series(row, 7.0, freqs))
-
-    def test_stacked_lowpass_series_equal_row_by_row_calls(self):
-        # the stack the mse driver evaluates: one low-pass per sampling size, one shared lambda_max
-        stack = np.stack([_cheb_coeffs(gs.PocsParams(omega=w, lambda_max=8.0)) for w in (0.3, 1.1, 2.9, 8.0)])
-        freqs = np.linspace(0.0, 8.0 / 1.01, 100)
-        stacked = gs.evaluate_cheb_series(stack, 8.0, freqs)
-        for row, out in zip(stack, stacked):
-            np.testing.assert_array_equal(out, gs.evaluate_cheb_series(row, 8.0, freqs))
 
     def test_series_must_be_a_vector_or_a_stack(self):
         with pytest.raises(ValueError, match="coefficients"):
@@ -483,15 +471,6 @@ class TestPocsReconstruct:
         x = gs.synthesize(basis, np.concatenate([rng.standard_normal(band), np.zeros(basis.n - band)]))
         sampled = gs.greedy_select(lap, inner, 2 * band, k=3).head(2 * band)
         return lap, inner, basis, band, params, x, sampled
-
-    @pytest.mark.parametrize("seed,variant", [(10, "identity"), (12, "degree")])
-    def test_close_to_closed_form_on_bandlimited_data(self, seed, variant):
-        lap, inner, basis, band, params, x, sampled = self.pocs_case(seed, variant)
-        closed = gs.consistent_reconstruct(basis, sampled, x[sampled], band=band)
-        iterative = gs.pocs_reconstruct(lap, inner, sampled, x[sampled], params)
-        gap = gs.q_norm(iterative.x_hat - closed.x_hat, inner) / gs.q_norm(closed.x_hat, inner)
-        assert gap <= 1e-3
-        assert iterative.iters < params.max_iters
 
     def test_zero_samples_give_zero_in_one_sweep(self):
         _, g, lap = geometric_instance(seed=16, n=10)

@@ -14,14 +14,13 @@ from graphsampling.errors import (
     ZeroSignalError,
 )
 from helpers import (
+    PATH3_LAP,
     all_inners,
     brute_force_singleton,
     explicit_cutoff,
     geometric_instance,
     restricted_cutoff,
 )
-
-PATH3_LAP = np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 # first 60 greedy picks at n = 100, k = 3, per (seed, inner product)
 GROWTH_PICKS = {
@@ -473,15 +472,3 @@ class TestAOptMetric:
             gs.e_opt_metric(basis, [1, 4], band)
         with pytest.raises(ValueError, match="band must be an integer"):
             gs.consistent_reconstruct(basis, [1, 4], [1.0, 2.0], band=band)
-
-    def test_singular_gram_reports_design_singular_value(self):
-        # sampled rows diag(1, delta) of an orthogonal mode matrix: delta is
-        # below the rule |S| eps sigma_max, the payload must be delta
-        delta = 1e-17
-        c = np.sqrt(1.0 - delta * delta)
-        modes = np.array([[1.0, 0.0, 0.0], [0.0, delta, c], [0.0, c, -delta]])
-        basis = gs.SpectralBasis(modes, np.array([0.0, 1.0, 2.0]), gs.identity_inner_product(3))
-        oracle = np.linalg.svd(modes[:2, :2], compute_uv=False)[-1]
-        with pytest.raises(RankDeficientError) as info:
-            gs.error_covariance(basis, [0, 1], 2)
-        assert info.value.sigma_min == pytest.approx(oracle, rel=1e-6)

@@ -5,9 +5,7 @@ import pytest
 
 import graphsampling as gs
 from graphsampling.errors import DimensionMismatchError, NotFiniteError
-from helpers import all_inners, geometric_instance, random_weights
-
-PATH3_LAP = np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]])
+from helpers import PATH3_LAP, all_inners, geometric_instance, random_weights
 
 
 def test_three_vertex_path_frequencies():
@@ -75,6 +73,20 @@ def test_non_finite_input_rejected():
     bad[0, 1] = np.nan  # keep it symmetric-shaped nonsense
     with pytest.raises(NotFiniteError):
         gs.compute_basis(bad, gs.identity_inner_product(3))
+
+
+@pytest.mark.parametrize(
+    "variation, match",
+    [
+        (np.ones((3, 2)), "must be square"),
+        (PATH3_LAP + np.triu(np.ones((3, 3)), 1), "must be symmetric"),
+        (-PATH3_LAP, "not positive semidefinite"),
+    ],
+    ids=["non-square", "asymmetric", "indefinite"],
+)
+def test_malformed_variation_rejected(variation, match):
+    with pytest.raises(ValueError, match=match):
+        gs.compute_basis(variation, gs.identity_inner_product(3))
 
 
 class TestTransforms:
