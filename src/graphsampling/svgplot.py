@@ -34,6 +34,17 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return [lo + i * step for i in range(count)]
 
 
+def _text(x, y, size, body, anchor="", extra="") -> str:
+    """One sans-serif ``<text>`` element; ``x`` and ``y`` come formatted."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}" font-size="{size}"{anchor} font-family="sans-serif"{extra}>{body}</text>'
+
+
+def _line(x1, y1, x2, y2, stroke="black", extra="") -> str:
+    """One ``<line>`` element; the coordinates come formatted."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{extra}/>'
+
+
 def line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     *,
@@ -57,8 +68,7 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="22" font-size="15" text-anchor="middle" '
-        f'font-family="sans-serif">{_escape(title)}</text>',
+        _text(f"{_WIDTH / 2:.1f}", 22, 15, _escape(title), "middle"),
     ]
 
     if all_pts:
@@ -80,33 +90,16 @@ def line_chart(
             return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
         axis_y = _MARGIN_TOP + plot_h
-        out.append(
-            f'<line x1="{_MARGIN_LEFT}" y1="{axis_y:.1f}" x2="{_MARGIN_LEFT + plot_w:.1f}" '
-            f'y2="{axis_y:.1f}" stroke="black"/>'
-        )
-        out.append(
-            f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '
-            f'y2="{axis_y:.1f}" stroke="black"/>'
-        )
+        ay = f"{axis_y:.1f}"
+        out.append(_line(_MARGIN_LEFT, ay, f"{_MARGIN_LEFT + plot_w:.1f}", ay))
+        out.append(_line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, ay))
         for t in _ticks(x_lo, x_hi):
-            out.append(
-                f'<text x="{sx(t):.1f}" y="{axis_y + 18:.1f}" font-size="11" '
-                f'text-anchor="middle" font-family="sans-serif">{t:.4g}</text>'
-            )
-            out.append(
-                f'<line x1="{sx(t):.1f}" y1="{axis_y:.1f}" x2="{sx(t):.1f}" '
-                f'y2="{axis_y + 4:.1f}" stroke="black"/>'
-            )
+            out.append(_text(f"{sx(t):.1f}", f"{axis_y + 18:.1f}", 11, f"{t:.4g}", "middle"))
+            out.append(_line(f"{sx(t):.1f}", ay, f"{sx(t):.1f}", f"{axis_y + 4:.1f}"))
         for t in _ticks(y_lo, y_hi):
             label = f"1e{t:.2f}" if log_y else f"{t:.4g}"
-            out.append(
-                f'<text x="{_MARGIN_LEFT - 8:.1f}" y="{sy(t) + 4:.1f}" font-size="11" '
-                f'text-anchor="end" font-family="sans-serif">{label}</text>'
-            )
-            out.append(
-                f'<line x1="{_MARGIN_LEFT - 4:.1f}" y1="{sy(t):.1f}" x2="{_MARGIN_LEFT}" '
-                f'y2="{sy(t):.1f}" stroke="black"/>'
-            )
+            out.append(_text(f"{_MARGIN_LEFT - 8:.1f}", f"{sy(t) + 4:.1f}", 11, label, "end"))
+            out.append(_line(f"{_MARGIN_LEFT - 4:.1f}", f"{sy(t):.1f}", _MARGIN_LEFT, f"{sy(t):.1f}"))
 
         for si, (label, pts) in enumerate(prepared):
             color = PALETTE[si % len(PALETTE)]
@@ -129,28 +122,15 @@ def line_chart(
                     out.append(f'<circle cx="{x}" cy="{y}" r="2.2" fill="{color}"/>')
             ly = _MARGIN_TOP + 16 + 18 * si
             lx = _MARGIN_LEFT + plot_w + 12
-            out.append(
-                f'<line x1="{lx:.1f}" y1="{ly - 4:.1f}" x2="{lx + 22:.1f}" y2="{ly - 4:.1f}" '
-                f'stroke="{color}" stroke-width="1.8"/>'
-            )
-            out.append(
-                f'<text x="{lx + 28:.1f}" y="{ly:.1f}" font-size="12" '
-                f'font-family="sans-serif">{_escape(label)}</text>'
-            )
+            key_y = f"{ly - 4:.1f}"
+            out.append(_line(f"{lx:.1f}", key_y, f"{lx + 22:.1f}", key_y, color, ' stroke-width="1.8"'))
+            out.append(_text(f"{lx + 28:.1f}", f"{ly:.1f}", 12, _escape(label)))
     else:
-        out.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT / 2:.1f}" font-size="13" '
-            f'text-anchor="middle" font-family="sans-serif">no finite data</text>'
-        )
+        out.append(_text(f"{_WIDTH / 2:.1f}", f"{_HEIGHT / 2:.1f}", 13, "no finite data", "middle"))
 
-    out.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12:.1f}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{_escape(x_label)}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.1f}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.1f})">'
-        f"{_escape(y_label + (' (log scale)' if log_y else ''))}</text>"
-    )
+    mid_y = f"{_MARGIN_TOP + plot_h / 2:.1f}"
+    out.append(_text(f"{_MARGIN_LEFT + plot_w / 2:.1f}", f"{_HEIGHT - 12:.1f}", 13, _escape(x_label), "middle"))
+    y_title = _escape(y_label + (" (log scale)" if log_y else ""))
+    out.append(_text(18, mid_y, 13, y_title, "middle", f' transform="rotate(-90 18 {mid_y})"'))
     out.append("</svg>")
     return "\n".join(out) + "\n"

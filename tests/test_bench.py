@@ -29,6 +29,13 @@ class TestBoundExperiment:
         with pytest.raises(ValueError, match="^need at least one sampling fraction$"):
             gs.run_bound_experiment(SMALL, 1, [])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_reports_each_realization(self, workers):
+        seen = []
+        gs.run_bound_experiment(SMALL, 3, [0.5], workers=workers, progress=seen.append)
+        # one worker reports in order; two report the same realizations in either order
+        assert (seen if workers == 1 else sorted(seen)) == [0, 1, 2]
+
     def test_row_grid(self):
         table = gs.run_bound_experiment(SMALL, 1, [0.25, 0.5, 0.75])
         assert len(table.rows) == 3 * 3

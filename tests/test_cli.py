@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ class TestReconstruct:
         ])
         assert code == 2
 
-    def test_singular_gram_exits_three(self, tmp_path, capsys):
+    def test_rank_deficient_design_exits_three(self, tmp_path, capsys):
         # two disconnected triangles: sampling one component cannot see band 2
         w = np.zeros((6, 6))
         for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
@@ -364,6 +365,19 @@ class TestBench:
     def test_one_worker_by_default(self, command):
         assert build_parser().parse_args(["bench", command]).threads == 1
 
+    def test_progress_is_reported_on_a_terminal_only(self, monkeypatch):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        monkeypatch.setattr(sys, "stderr", Terminal())
+        report = cli._progress(2)
+        report(0)
+        report(1)
+        assert sys.stderr.getvalue() == "realization 1/2\nrealization 2/2\n"
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        assert cli._progress(2) is None
+
     def test_bad_fracs_exit_two(self, tmp_path):
         code = main(["bench", "bound", "--fracs", "0.5:0.1:0.1", "--out", str(tmp_path)])
         assert code == 2
@@ -455,6 +469,10 @@ BAD_TRUTHS = {
          SIX_SAMPLES),
         (["reconstruct", "--q", "degree", "--method", "pocs", "--omega", "0.5", "--truth", "{d}/short-truth.json"],
          SIX_SAMPLES),
+        (["gen", "--n", "5", "--side", "abc"], None),
+        (["bench", "bound", "--n", "12", "--fracs", "0.1:0.5"], None),
+        (["bench", "mse", "--n", "12", "--signals", "a,b"], None),
+        (["bench", "bound", "--n", "12", "--variants", ","], None),
     ],
     ids=[
         "negative-seed", "zero-order", "zero-target", "zero-realizations", "bound-one-vertex", "mse-one-vertex",
@@ -466,6 +484,7 @@ BAD_TRUTHS = {
         "infinite-rel-tol", "infinite-alpha", "nan-omega", "gen-infinite-kernel-sigma", "infinite-side",
         "mse-infinite-kernel-sigma", "nan-fracs", "infinite-noise", "too-many-fracs",
         "nan-truth", "short-truth", "pocs-nan-truth", "pocs-short-truth",
+        "non-numeric-side", "two-part-fracs", "non-integer-signals", "no-variant",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, argv, samples):
@@ -507,8 +526,8 @@ def test_out_naming_a_file_exits_two_and_writes_nothing(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
-@pytest.mark.parametrize("command", ["select", "reconstruct"])
-def test_out_in_a_missing_directory_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+def run_with_out(tmp_path, capsys, monkeypatch, command, target):
+    """Exit code of ``command`` with ``--out target``; fails if any input is read or any result computed."""
     gen(tmp_path, "--q", "degree")
     (tmp_path / "samples.json").write_text(SIX_SAMPLES, encoding="utf-8")
     capsys.readouterr()
@@ -520,12 +539,26 @@ def test_out_in_a_missing_directory_exits_two_before_any_work(tmp_path, capsys, 
     monkeypatch.setattr(cli, "_read_json", no_work)
     monkeypatch.setattr(cli, "greedy_select", no_work)
     monkeypatch.setattr(cli, "consistent_reconstruct", no_work)
-    target = tmp_path / "nodir" / "x.json"
     argv = [command, "--dir", str(tmp_path), "--q", "degree", "--out", str(target)]
     argv += ["--m", "4"] if command == "select" else ["--samples", str(tmp_path / "samples.json")]
-    assert main(argv) == 2
+    return main(argv)
+
+
+@pytest.mark.parametrize("command", ["select", "reconstruct"])
+def test_out_in_a_missing_directory_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+    target = tmp_path / "nodir" / "x.json"
+    assert run_with_out(tmp_path, capsys, monkeypatch, command, target) == 2
     assert capsys.readouterr().err == f"error: --out {target}: no directory {target.parent}\n"
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "reconstruct"])
+def test_out_naming_a_directory_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+    target = tmp_path / "adir"
+    target.mkdir()
+    assert run_with_out(tmp_path, capsys, monkeypatch, command, target) == 2
+    assert capsys.readouterr().err == f"error: --out {target}: is a directory\n"
+    assert list(target.iterdir()) == []
 
 
 @pytest.mark.parametrize("method", ["closed-form", "pocs"])

@@ -177,16 +177,6 @@ class TestNoise:
 
 
 class TestConfigValidation:
-    def test_bad_configs_rejected(self):
-        with pytest.raises(ValueError):
-            gs.GeoConfig(n=0)
-        with pytest.raises(ValueError):
-            gs.GeoConfig(kernel_sigma=0.0)
-
-    def test_point_cloud_bounds(self):
-        with pytest.raises(ValueError):
-            gs.PointCloud(np.array([[11.0, 1.0]]), 10.0)
-
     def test_nan_position_rejected(self):
         # a NaN site once passed and surfaced as a degenerate Voronoi cell of site 0
         with pytest.raises(ValueError, match="positions must be finite"):

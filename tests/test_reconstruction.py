@@ -131,7 +131,7 @@ class TestConsistentReconstruct:
         b = gs.consistent_reconstruct(basis, sampled[shuffled], y[shuffled], band=3)
         np.testing.assert_allclose(a.x_hat, b.x_hat, atol=1e-12)
 
-    def test_singular_gram_reports_sigma_min(self):
+    def test_rank_deficient_design_reports_sigma_min(self):
         # disconnected components make the low band invisible from one side
         w = np.zeros((6, 6))
         for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
