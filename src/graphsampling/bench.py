@@ -250,6 +250,10 @@ def run_mse_experiment(
         # checked once here, as every reconstruction would check its samples
         if not all(np.isfinite(y).all() for y in noisy.values()):
             raise ValueError("sample values must be finite")
+        # a finite norm in every inner product keeps the fits and the errors from overflowing
+        with np.errstate(over="ignore"):
+            if not all(np.isfinite(q_norm(y, q)) for y in noisy.values() for q in (metric, *inners.values())):
+                raise ValueError("noisy samples must have a finite norm in every inner product")
         return metric, truths, noisy
 
     def block(out, data, basis, selection, sizes):

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import hashlib
+import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, graphs, spectral
 from .bench import (
     RECON_METHODS,
     ResultTable,
@@ -24,8 +28,8 @@ from .errors import GraphSamplingError, NotFiniteError
 from .geometry import GeoConfig, build_instance
 from .graphs import VARIANTS, InnerProduct, combinatorial_laplacian, graph_from_json, graph_to_json
 from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct
-from .sampling import DEFAULT_PROXY_ORDER, greedy_select
-from .spectral import _lambda_max, compute_basis
+from .sampling import DEFAULT_PROXY_ORDER, _greedy_from_basis
+from .spectral import SpectralBasis, _lambda_max, compute_basis
 from .svgplot import line_chart
 
 _EXIT_OK = 0
@@ -71,14 +75,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path, parse):
+def _read_json(path: Path, parse, raw: bytes | None = None):
     """``parse`` of the JSON document in ``path``: the one reader of an input file.
 
-    A file that is not JSON, or whose document ``parse`` rejects, raises one
+    ``raw`` is the file's bytes when the caller has read them already. A file
+    that is not JSON, or whose document ``parse`` rejects, raises one
     ``ValueError`` that names the file. A path that cannot be opened as a file
     raises the ``OSError`` of ``open``, which names it.
     """
-    with open(path, encoding="utf-8") as fh:
+    if raw is None:
+        raw = path.read_bytes()
+    # decoded as a file opened in text mode would be, newlines included
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
         except (ValueError, OverflowError) as exc:
@@ -158,6 +166,86 @@ def _own_cutoff(vertices: list, order: list, cutoffs: np.ndarray) -> float:
     return float(cutoffs[j - 1])
 
 
+def _digest(*parts: bytes) -> bytes:
+    """SHA-256 of the SHA-256 digests of ``parts``, so that no two splits of the same bytes collide."""
+    return hashlib.sha256(b"".join(hashlib.sha256(part).digest() for part in parts)).digest()
+
+
+@functools.cache
+def _basis_code() -> bytes | None:
+    """Digest of numpy's version and of the sources that parse and decompose an instance; None if one is unreadable."""
+    try:
+        sources = [Path(path).read_bytes() for path in (__file__, graphs.__file__, spectral.__file__)]
+    except OSError:
+        return None
+    return _digest(np.__version__.encode(), *sources)
+
+
+class _Instance:
+    """The graph and one inner product of a ``gen`` directory, and the basis ``select`` left beside them.
+
+    The basis file ``basis_<q>.bin`` holds one JSON header line,
+    ``{"key": ..., "n": n, "sha256": ...}``, then the frequencies and the
+    mode matrix, row by row, as 8(n + n^2) little-endian float64 bytes.
+    ``key`` is a SHA-256 of the exact bytes of ``graph.json`` and
+    ``q_<q>.json`` and of :func:`_basis_code`, and ``sha256`` that of the
+    numbers. A file whose key differs, or that is missing, truncated or
+    unreadable, counts as absent: the graph is then parsed, and the basis
+    computed, as without one.
+    """
+
+    def __init__(self, directory: Path, variant: str):
+        graph_path, q_path = directory / "graph.json", directory / f"q_{variant}.json"
+        self.path = directory / f"basis_{variant}.bin"
+        graph_raw, q_raw = graph_path.read_bytes(), None
+        # a missing inner-product file is reported after the graph's own errors, as without a basis file
+        with contextlib.suppress(OSError):
+            q_raw = q_path.read_bytes()
+        code = _basis_code()
+        self.key = None if q_raw is None or code is None else _digest(code, graph_raw, q_raw).hex()
+        cached = self._load()
+        self.graph = None if cached else _read_json(graph_path, graph_from_json, graph_raw)
+        self.n = len(cached[0]) if cached else self.graph.n
+        self.inner = _read_json(q_path, lambda doc: _inner(doc, self.n), q_raw)
+        self.cached = SpectralBasis(cached[1], cached[0], self.inner) if cached else None
+
+    def _load(self):
+        """``(frequencies, modes)`` from the basis file, or None when it is absent."""
+        if self.key is None:
+            return None
+        try:
+            head, _, body = self.path.read_bytes().partition(b"\n")
+            header = json.loads(head)
+            n = header["n"]
+            fresh = header["key"] == self.key and header["sha256"] == hashlib.sha256(body).hexdigest()
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+        if not (fresh and type(n) is int and n > 0 and len(body) == 8 * n * (n + 1)):
+            return None
+        numbers = np.frombuffer(body, dtype="<f8")
+        return numbers[:n], numbers[n:].reshape(n, n)
+
+    def basis(self) -> SpectralBasis:
+        """The basis of the variation operator: the one in the basis file, else computed."""
+        if self.cached is not None:
+            return self.cached
+        return compute_basis(combinatorial_laplacian(self.graph), self.inner)
+
+    def store(self, basis: SpectralBasis) -> None:
+        """Leave ``basis`` in the basis file, if it was computed here; a failed write leaves no file and no error."""
+        if self.key is None or self.cached is not None:
+            return
+        body = np.concatenate([basis.frequencies, basis.modes.ravel()]).astype("<f8").tobytes()
+        header = json.dumps({"key": self.key, "n": basis.n, "sha256": hashlib.sha256(body).hexdigest()})
+        part = self.path.with_name(f"{self.path.name}.{os.getpid()}.part")
+        try:
+            part.write_bytes(header.encode("ascii") + b"\n" + body)
+            os.replace(part, self.path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                part.unlink()
+
+
 def _progress(total: int):
     if not sys.stderr.isatty():
         return None
@@ -235,9 +323,9 @@ def cmd_gen(args) -> int:
 def cmd_select(args) -> int:
     directory = Path(args.dir)
     out = _out_file(args.out) if args.out else directory / f"selection_{args.q}.json"
-    g = _read_json(directory / "graph.json", graph_from_json)
-    inner = _read_json(directory / f"q_{args.q}.json", lambda doc: _inner(doc, g.n))
-    result = greedy_select(combinatorial_laplacian(g), inner, args.m, k=args.k)
+    instance = _Instance(directory, args.q)
+    basis = instance.basis()
+    result = _greedy_from_basis(basis, args.m, args.k)
     _write_json(
         out,
         {
@@ -249,6 +337,7 @@ def cmd_select(args) -> int:
             "manifest": _manifest("select", args, dir=str(directory), out=str(out)),
         },
     )
+    instance.store(basis)
     print(f"final cutoff estimate: {result.cutoffs[-1]:.12g}")
     return _EXIT_OK
 
@@ -256,21 +345,21 @@ def cmd_select(args) -> int:
 def cmd_reconstruct(args) -> int:
     directory = Path(args.dir)
     out = _out_file(args.out) if args.out else directory / "reconstruction.json"
-    g = _read_json(directory / "graph.json", graph_from_json)
-    inner = _read_json(directory / f"q_{args.q}.json", lambda doc: _inner(doc, g.n))
+    instance = _Instance(directory, args.q)
+    n = instance.n
     selection_path = Path(args.selection) if args.selection else directory / f"selection_{args.q}.json"
-    vertices, values = _read_json(Path(args.samples), lambda doc: _samples(doc, g.n))
+    vertices, values = _read_json(Path(args.samples), lambda doc: _samples(doc, n))
     # only PoCS uses the selection, for its default cutoff
     omega = args.omega
     if args.method == "pocs" and omega is None:
         omega = _own_cutoff(vertices, *_read_json(selection_path, _selection))
     else:
         selection_path = None
-    truth = _read_json(Path(args.truth), lambda doc: _numbers(doc["values"], g.n)) if args.truth else None
+    truth = _read_json(Path(args.truth), lambda doc: _numbers(doc["values"], n)) if args.truth else None
 
     # floating-point warnings stay silent: a non-finite result is reported below as one error line
     with np.errstate(all="ignore"):
-        basis = compute_basis(combinatorial_laplacian(g), inner)
+        basis = instance.basis()
         if args.method == "closed-form":
             report = consistent_reconstruct(basis, vertices, values, band=args.band, truth=truth)
         else:

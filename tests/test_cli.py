@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import shutil
 import signal
 import sys
 
@@ -357,8 +358,7 @@ class TestBench:
                 "--threads", threads, "--out", str(tmp_path),
             ])
             assert code == 0
-            lines = (tmp_path / "manifest.json").read_text().splitlines(keepends=True)
-            manifests.append("".join(line for line in lines if '"created_utc"' not in line))
+            manifests.append(stable_text(tmp_path / "manifest.json"))
         assert manifests[0] == manifests[1]
 
     @pytest.mark.parametrize("command", ["bound", "mse"])
@@ -462,6 +462,8 @@ BAD_TRUTHS = {
         (["bench", "mse", "--n", "12", "--kernel-sigma", "inf"], None),
         (["bench", "mse", "--n", "12", "--fracs", "nan:0.5:0.1"], None),
         (["bench", "mse", "--n", "12", "--noises", "0.1,inf"], None),
+        (["bench", "mse", "--n", "12", "--realizations", "1", "--fracs", "0.5:0.5:0.1", "--signals", "2",
+          "--noises", "1e308"], None),
         (["bench", "bound", "--n", "12", "--fracs", "0.1:0.9:1e-5"], None),
         (["reconstruct", "--q", "degree", "--truth", "{d}/nan-truth.json"], SIX_SAMPLES),
         (["reconstruct", "--q", "degree", "--truth", "{d}/short-truth.json"], SIX_SAMPLES),
@@ -482,7 +484,7 @@ BAD_TRUTHS = {
         "reversed-fracs", "unknown-variant", "non-integer-threads", "non-integer-target",
         "kernel-sigma-prefix", "band-alias", "max-iters-prefix",
         "infinite-rel-tol", "infinite-alpha", "nan-omega", "gen-infinite-kernel-sigma", "infinite-side",
-        "mse-infinite-kernel-sigma", "nan-fracs", "infinite-noise", "too-many-fracs",
+        "mse-infinite-kernel-sigma", "nan-fracs", "infinite-noise", "huge-noise", "too-many-fracs",
         "nan-truth", "short-truth", "pocs-nan-truth", "pocs-short-truth",
         "non-numeric-side", "two-part-fracs", "non-integer-signals", "no-variant",
     ],
@@ -536,8 +538,9 @@ def run_with_out(tmp_path, capsys, monkeypatch, command, target):
         raise AssertionError("ran before the output path was checked")
 
     # neither input is read nor any result computed
+    monkeypatch.setattr(cli, "_Instance", no_work)
     monkeypatch.setattr(cli, "_read_json", no_work)
-    monkeypatch.setattr(cli, "greedy_select", no_work)
+    monkeypatch.setattr(cli, "_greedy_from_basis", no_work)
     monkeypatch.setattr(cli, "consistent_reconstruct", no_work)
     argv = [command, "--dir", str(tmp_path), "--q", "degree", "--out", str(target)]
     argv += ["--m", "4"] if command == "select" else ["--samples", str(tmp_path / "samples.json")]
@@ -611,6 +614,130 @@ def test_bad_samples_are_named_before_any_work(tmp_path, capsys, monkeypatch, te
     assert main(["reconstruct", "--dir", str(tmp_path), "--q", "degree", "--samples", str(samples)]) == 2
     assert capsys.readouterr().err == f"error: {samples}: {problem}\n"
     assert not (tmp_path / "reconstruction.json").exists()
+
+
+def count_calls(monkeypatch, *names):
+    """Calls of the named functions of ``cli``, by name; the functions still run."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def stable_text(path):
+    """The lines of a JSON output, its timestamp aside."""
+    return [line for line in path.read_text(encoding="utf-8").splitlines() if '"created_utc"' not in line]
+
+
+@pytest.fixture
+def selected(tmp_path):
+    """A 24-vertex instance after ``select --q degree --m 6``, with samples at its six picks."""
+    gen(tmp_path, "--q", "degree")
+    assert main(["select", "--dir", str(tmp_path), "--q", "degree", "--m", "6"]) == 0
+    order = read_json(tmp_path / "selection_degree.json")["order"]
+    samples = {"vertices": order, "values": [1.0, -2.0, 0.5, 3.0, 0.0, 1.5]}
+    (tmp_path / "six.json").write_text(json.dumps(samples), encoding="utf-8")
+    return tmp_path
+
+
+# each command on the ``selected`` instance, and the output it writes there
+BASIS_READERS = {
+    "select": (["select", "--q", "degree", "--m", "6"], "selection_degree.json"),
+    "closed-form": (["reconstruct", "--q", "degree", "--samples", "{d}/six.json", "--band", "4"], "reconstruction.json"),
+    "pocs": (
+        ["reconstruct", "--q", "degree", "--samples", "{d}/six.json", "--method", "pocs", "--omega", "0.5"],
+        "reconstruction.json",
+    ),
+}
+
+
+def run_in(d, command):
+    argv, output = BASIS_READERS[command]
+    assert main([a.format(d=d) for a in argv] + ["--dir", str(d)]) == 0
+    return d / output
+
+
+@pytest.mark.parametrize("command", list(BASIS_READERS))
+def test_the_basis_select_left_replaces_parse_and_eigensolver(selected, monkeypatch, command):
+    basis_file = selected / "basis_degree.bin"
+    assert basis_file.exists()
+    calls = count_calls(monkeypatch, "compute_basis", "graph_from_json")
+    reused = stable_text(run_in(selected, command))
+    assert calls == {"compute_basis": 0, "graph_from_json": 0}
+    basis_file.unlink()
+    assert stable_text(run_in(selected, command)) == reused
+    assert calls == {"compute_basis": 1, "graph_from_json": 1}
+    # only select leaves a basis file
+    assert basis_file.exists() == (command == "select")
+
+
+@pytest.mark.parametrize("change", ["graph.json", "q_degree.json", "code"])
+def test_a_stale_basis_file_is_not_read(selected, tmp_path_factory, monkeypatch, change):
+    if change == "graph.json":
+        other = tmp_path_factory.mktemp("other")
+        assert main(["gen", "--n", "24", "--kernel-sigma", "2.0", "--seed", "8", "--q", "degree", "--out", str(other)]) == 0
+        shutil.copy(other / "graph.json", selected / "graph.json")
+    elif change == "q_degree.json":
+        doc = read_json(selected / "q_degree.json")
+        doc["entries"] = [2.0 * q for q in doc["entries"]]
+        (selected / "q_degree.json").write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        # the basis file was written by other code: another eigensolver, parser or numpy
+        monkeypatch.setattr(cli, "_basis_code", lambda: b"other code")
+    fresh = tmp_path_factory.mktemp("fresh")
+    for name in ("graph.json", "q_degree.json", "six.json"):
+        shutil.copy(selected / name, fresh / name)
+    calls = count_calls(monkeypatch, "compute_basis")
+    outputs = [{command: read_json(run_in(d, command)) for command in BASIS_READERS} for d in (selected, fresh)]
+    # one eigensolver call per directory: select's, whose basis both reconstructions read
+    assert calls == {"compute_basis": 2}
+    for command in BASIS_READERS:
+        mine, theirs = (out[command] for out in outputs)
+        mine.pop("manifest"), theirs.pop("manifest")
+        assert mine == theirs
+
+
+@pytest.mark.parametrize("damage", ["garbled", "truncated", "flipped-bit", "other-size", "directory"])
+def test_a_damaged_basis_file_counts_as_absent(selected, monkeypatch, damage):
+    basis_file = selected / "basis_degree.bin"
+    raw = basis_file.read_bytes()
+    expected = stable_text(run_in(selected, "closed-form"))
+    if damage == "directory":
+        basis_file.unlink()
+        basis_file.mkdir()
+    else:
+        damaged = {
+            "garbled": b"not a basis file",
+            "truncated": raw[:-8],
+            "flipped-bit": raw[:-1] + bytes([raw[-1] ^ 1]),
+            "other-size": raw.replace(b'"n": 24', b'"n": 23', 1),
+        }[damage]
+        assert damaged != raw
+        basis_file.write_bytes(damaged)
+    calls = count_calls(monkeypatch, "compute_basis")
+    assert stable_text(run_in(selected, "closed-form")) == expected
+    assert calls == {"compute_basis": 1}
+
+
+def test_a_failed_basis_write_leaves_select_at_exit_zero(tmp_path, capsys):
+    gen(tmp_path, "--q", "degree")
+    argv = ["select", "--dir", str(tmp_path), "--q", "degree", "--m", "6"]
+    assert main(argv) == 0
+    expected = stable_text(tmp_path / "selection_degree.json")
+    # a directory in its place: the write of the basis file fails
+    (tmp_path / "basis_degree.bin").unlink()
+    (tmp_path / "basis_degree.bin").mkdir()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert stable_text(tmp_path / "selection_degree.json") == expected
+    assert (tmp_path / "basis_degree.bin").is_dir()
+    assert not list(tmp_path.glob("*.part"))
 
 
 def test_pocs_x_hat_equals_the_public_call(tmp_path):
@@ -760,7 +887,7 @@ def test_library_type_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
         raise TypeError("a library fault")
 
     # only a ValueError means bad input; any other error is a fault and ends in a traceback
-    monkeypatch.setattr(cli, "greedy_select", broken)
+    monkeypatch.setattr(cli, "_greedy_from_basis", broken)
     with pytest.raises(TypeError, match="a library fault"):
         main(["select", "--dir", str(tmp_path), "--q", "degree", "--m", "4"])
 

@@ -96,6 +96,12 @@ RULES = {
     "mse-noise-overflows": (
         lambda: gs.run_mse_experiment(SMALL, 1, [0.5], [2], [1.7e308]), ValueError, "sample values must be finite"
     ),
+    # finite noisy samples whose squares overflow
+    "mse-noise-norm-overflows": (
+        lambda: gs.run_mse_experiment(SMALL, 1, [0.5], [2], [1e308]),
+        ValueError,
+        "noisy samples must have a finite norm in every inner product",
+    ),
 }
 
 
