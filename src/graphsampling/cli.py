@@ -28,7 +28,7 @@ from .errors import GraphSamplingError, NotFiniteError
 from .geometry import GeoConfig, build_instance
 from .graphs import VARIANTS, InnerProduct, combinatorial_laplacian, graph_from_json, graph_to_json
 from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct
-from .sampling import DEFAULT_PROXY_ORDER, _greedy_from_basis
+from .sampling import DEFAULT_PROXY_ORDER, _check_order, _check_target, _greedy_from_basis
 from .spectral import SpectralBasis, _lambda_max, compute_basis
 from .svgplot import line_chart
 
@@ -321,11 +321,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_select(args) -> int:
+    # the selector's own checks, each as early as it can run: k before any input is read, m once n is known
+    k = _check_order(args.k)
     directory = Path(args.dir)
     out = _out_file(args.out) if args.out else directory / f"selection_{args.q}.json"
     instance = _Instance(directory, args.q)
+    m = _check_target(args.m, instance.n)
     basis = instance.basis()
-    result = _greedy_from_basis(basis, args.m, args.k)
+    result = _greedy_from_basis(basis, m, k)
     _write_json(
         out,
         {

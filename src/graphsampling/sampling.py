@@ -20,6 +20,13 @@ def _check_order(k: int) -> int:
     return k
 
 
+def _check_target(m: int, n: int) -> int:
+    m = _integer(m, "sampling set size m")
+    if not 1 <= m < n:
+        raise InvalidTargetError(f"sampling set size must be in [1, {n}), got {m}")
+    return m
+
+
 def spectral_proxy(variation, inner: InnerProduct, x, k: int = DEFAULT_PROXY_ORDER) -> float:
     """Bandwidth estimate of a signal without an eigendecomposition.
 
@@ -248,9 +255,7 @@ def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
     k = _check_order(k)
     inner = basis.inner
     n = inner.n
-    m = _integer(m, "sampling set size m")
-    if not 1 <= m < n:
-        raise InvalidTargetError(f"sampling set size must be in [1, {n}), got {m}")
+    m = _check_target(m, n)
     q = inner.entries
     v, d = _eigenpairs(basis, k)
     gram = None

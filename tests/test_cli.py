@@ -564,6 +564,31 @@ def test_out_naming_a_directory_exits_two_before_any_work(tmp_path, capsys, monk
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m", "4", "--k", "0"], "proxy order k must be a positive integer, got 0"),
+        (["--m", "0"], "sampling set size must be in [1, 24), got 0"),
+        (["--m", "24"], "sampling set size must be in [1, 24), got 24"),
+    ],
+    ids=["zero-order", "zero-target", "target-n"],
+)
+def test_select_checks_order_and_target_before_the_eigensolver(tmp_path, capsys, monkeypatch, flags, message):
+    gen(tmp_path, "--q", "degree")
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --k and --m were checked")
+
+    monkeypatch.setattr(cli, "compute_basis", no_work)
+    if "--k" in flags:
+        # the order needs no input at all
+        monkeypatch.setattr(cli, "_Instance", no_work)
+    assert main(["select", "--dir", str(tmp_path), "--q", "degree", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "selection_degree.json").exists() and not (tmp_path / "basis_degree.bin").exists()
+
+
 @pytest.mark.parametrize("method", ["closed-form", "pocs"])
 def test_bad_truth_is_named_before_any_work(tmp_path, capsys, monkeypatch, method):
     gen(tmp_path, "--q", "degree")

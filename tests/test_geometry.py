@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphsampling as gs
+from graphsampling import geometry
 from graphsampling.errors import DegenerateCellError
 from helpers import cluster_cloud, kernel_weights_oracle, voronoi_oracle
 
@@ -97,9 +100,10 @@ def _same_as_oracles(pc):
 
 
 class TestBitForBitOracles:
-    """The float-list Voronoi loop and the two-plane kernel distances equal the numpy-scalar oracles bit for bit."""
+    """The all-cells Voronoi rounds and the two-plane kernel distances equal the numpy-scalar oracles bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 50, 100, 400])
+    # at most _PREFIX sites every candidate row is complete; one more, and rows are cut
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 100, 400, geometry._PREFIX - 1, geometry._PREFIX, geometry._PREFIX + 1])
     def test_random_clouds(self, n):
         for seed in range(10):
             pc = gs.sample_points(gs.GeoConfig(n=n, seed=seed), np.random.default_rng(seed))
@@ -134,6 +138,71 @@ class TestBitForBitOracles:
         site = _areas_or_site(voronoi_oracle, pc)
         assert isinstance(site, int)
         assert _areas_or_site(lambda c: gs.voronoi_areas(c).entries, pc) == site
+
+
+@st.composite
+def small_clouds(draw):
+    """Up to 40 sites on a grid of step 1/8, whose edges and corners are the square's, or anywhere in it; some twins.
+
+    Coordinates elsewhere keep three decimals, so no two distinct sites are
+    so close that a cell's area underflows.
+    """
+    coord = st.one_of(st.integers(0, 80).map(lambda i: i / 8), st.floats(0.0, 10.0).map(lambda v: round(v, 3)))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    for twin in draw(st.lists(st.integers(0, len(pts) - 1), max_size=2)):
+        pts.insert(draw(st.integers(0, len(pts))), pts[twin])
+    return gs.PointCloud(np.array(pts), 10.0)
+
+
+class TestNearestFirstCandidates:
+    """The paths of the bulk candidate prefixes against the oracle's full stable sort of every row."""
+
+    def test_cell_that_outruns_its_prefix(self, monkeypatch):
+        # one site alone in the left half, facing a dense cluster: its cell reaches far, and the
+        # bisectors of many cluster sites cut it before the stop test ends it
+        rng = np.random.default_rng(5)
+        pts = np.vstack([[[1.0, 5.0]], rng.uniform([6.0, 0.0], [10.0, 10.0], (300, 2))])
+        pc = gs.PointCloud(pts, 10.0)
+        full_rows = []
+        rows = geometry._distance_rows
+        monkeypatch.setattr(geometry, "_distance_rows", lambda x, y, r: full_rows.append(r) or rows(x, y, r))
+        _same_as_oracles(pc)
+        assert [0] in full_rows
+
+    def test_ties_at_the_prefix_boundary(self):
+        # 48 sites at exactly the same squared distance 5525/256 from a centre site
+        # (5525 = 5^2 * 13 * 17 is a sum of two squares in 48 ways), more than the prefix holds
+        ring = [(a, b) for a in range(-75, 76) for b in range(-75, 76) if a * a + b * b == 5525]
+        pts = np.array([(5.0, 5.0)] + [(5.0 + a / 16, 5.0 + b / 16) for a, b in ring])
+        x, y = pts.T
+        assert len(ring) == 48 > geometry._PREFIX
+        assert geometry._nearest_prefixes(x, y)[1][0] == 1
+        _same_as_oracles(gs.PointCloud(pts, 10.0))
+
+    def test_stop_test_at_its_bound_follows_pow(self):
+        # site 7 lies at twice site 0's cell radius to within rounding: with the radius
+        # squared as x * x site 0's cell stops before it, with the oracle's ``** 2`` (libm
+        # pow) it goes on, and site 7's bisector cuts a sliver that moves the area's last bit
+        pts = np.array([
+            [4.274245211558293, 5.977352817753426], [4.500085943567221, 6.936741168300409],
+            [3.7301660115629214, 6.8084171382666225], [3.5506286258381174, 6.3959787018928225],
+            [3.592100389504812, 5.411605350171292], [4.007214058088625, 5.177093085579726],
+            [5.264112822118804, 5.9020666732494105], [5.179229468538491, 4.7860142715969145],
+        ])
+        _same_as_oracles(gs.PointCloud(pts, 10.0))
+
+    @pytest.mark.parametrize("first, twin", [(0, 1), (29, 30), (12, 59)], ids=["low", "middle", "last"])
+    def test_twins_fail_at_the_oracle_site(self, first, twin):
+        pts = np.random.default_rng(first).uniform(0.0, 10.0, (60, 2))
+        pts[twin] = pts[first]
+        pc = gs.PointCloud(pts, 10.0)
+        assert _areas_or_site(voronoi_oracle, pc) == first
+        assert _areas_or_site(lambda c: gs.voronoi_areas(c).entries, pc) == first
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_clouds())
+    def test_small_clouds_with_boundary_sites_and_twins(self, pc):
+        assert _areas_or_site(lambda c: gs.voronoi_areas(c).entries, pc) == _areas_or_site(voronoi_oracle, pc)
 
 
 class TestSinewave:
