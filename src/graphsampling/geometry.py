@@ -177,7 +177,7 @@ def voronoi_areas(pc: PointCloud) -> InnerProduct:
     ------
     DegenerateCellError
         Naming the lowest site that has a coincident twin or whose cell
-        collapses below 3 vertices.
+        collapses below 3 vertices; else the lowest whose area is zero.
     """
     x, y = pc.positions.T
     n, side = pc.n, pc.side
@@ -264,7 +264,12 @@ def voronoi_areas(pc: PointCloud) -> InnerProduct:
     # padding slots add x0*y0 - x0*y0 == 0.0
     for k in range(width - 1):
         area += vx[k] * vy[k + 1] - vx[k + 1] * vy[k]
-    return InnerProduct("voronoi", 0.5 * np.abs(area))
+    area = 0.5 * np.abs(area)
+    # a cell below the roundoff of the square's side can keep 3 vertices, two of them equal, and no area
+    empty = np.flatnonzero(area == 0.0)
+    if empty.size:
+        raise DegenerateCellError(int(empty[0]))
+    return InnerProduct("voronoi", area)
 
 
 def _clip_cells(cells, count, f):

@@ -190,8 +190,9 @@ def graph_from_json(data: dict) -> Graph:
         raise ValueError(f"upper_f8le is not base64 ({exc})") from None
     if len(raw) != 8 * (n * (n - 1) // 2):
         raise ValueError(f"upper_f8le holds {len(raw)} bytes, but n = {n} needs 8 * n(n-1)/2 = {4 * n * (n - 1)}")
-    rows, cols = np.triu_indices(n, 1)
+    # row-major order of the mask is triu_indices order, in w and in its transpose
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     w = np.zeros((n, n))
     # both triangles from the same bits: w + w.T would turn a -0.0 weight into +0.0
-    w[rows, cols] = w[cols, rows] = np.frombuffer(raw, dtype="<f8")
+    w[upper] = w.T[upper] = np.frombuffer(raw, dtype="<f8")
     return Graph(w)

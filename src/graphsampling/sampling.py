@@ -151,14 +151,19 @@ def _deleted_root(vals: np.ndarray, vecs: np.ndarray, rows: list, lo: float) -> 
     below ``mu``, which is ``#{vals < mu} - n_-(W (D - mu)^-1 W^T)``, so ``mu``
     is the zero of the (r+1)-th smallest eigenvalue ``kappa(mu)`` of ``K``,
     which does not increase, and never another root of the determinant.
-    Newton steps on ``kappa``, kept inside the bracket its sign certifies,
-    start from the smallest eigenvalue of ``D_L + W_L^T M_H(lo)^-1 W_L``,
-    the root with ``M_H`` frozen at ``lo`` and an upper bound, and take
-    typically 2 or 3 ``eigh`` calls of size ``|L| + r``; a last step below
-    1e-8 relative is applied without another call. A root on a held
-    eigenvalue whose eigenspace holds a combination vanishing on ``rows``
-    (star centre, disconnected triangles) needs no special case: there
-    ``t = 0``.
+    Newton steps on ``kappa`` are kept inside the bracket its sign
+    certifies. They start from the secant of ``h(mu) = g(mu) - mu``, where
+    ``g(mu)``, the smallest eigenvalue of ``D_L + W_L^T M_H(mu)^-1 W_L``, is
+    the root with ``M_H`` frozen at ``mu``. As ``M_H`` grows with ``mu``,
+    ``g`` falls, so ``g(lo)`` bounds the root above and ``g(g(lo))`` below;
+    the secant through ``lo`` and ``g(lo)``, clamped between the two, costs
+    two small ``eigvalsh`` calls. The steps then take typically 2 ``eigh``
+    calls of size ``|L| + r``: 1.9 per pick on a Voronoi instance at
+    n = 100 and 2.0 at n = 400, where a start at ``g(lo)`` took 2.6 and 2.9.
+    A last step below 1e-8 relative is applied without another call. A root
+    on a held eigenvalue whose eigenspace holds a combination vanishing on
+    ``rows`` (star centre, disconnected triangles) needs no special case:
+    there ``t = 0``.
 
     Returns the root and the eigenvector ``vecs y``, with exact zeros at
     ``rows``: ``y_L`` and ``t`` are the eigenvector of ``K``, and
@@ -176,10 +181,17 @@ def _deleted_root(vals: np.ndarray, vecs: np.ndarray, rows: list, lo: float) -> 
     diag = np.arange(n_low)
     lo, hi = min(max(float(lo), float(vals[0])), top), top
     tol = 4.0 * eps * max(abs(lo), abs(hi)) + eps * eps * abs(float(vals[-1]))
+
+    def frozen_root(at: float) -> float:
+        """The root with ``M_H`` frozen at ``at``: it falls as ``at`` grows, and equals ``at`` at the root."""
+        frozen = np.linalg.solve((w_high / (d_high - at)) @ w_high.T, w_low)
+        return float(np.linalg.eigvalsh(np.diag(vals[:n_low]) + w_low.T @ frozen)[0])
+
     try:
-        # start from the root with M_H frozen at lo, an upper bound as M_H grows with mu
-        frozen = np.linalg.solve((w_high / (d_high - lo)) @ w_high.T, w_low)
-        mu = min(max(float(np.linalg.eigvalsh(np.diag(vals[:n_low]) + w_low.T @ frozen)[0]), lo), hi)
+        upper = min(max(frozen_root(lo), lo), hi)
+        lower = min(max(frozen_root(upper), lo), upper)
+        drop = (upper - lo) - (lower - upper)  # h(lo) - h(g(lo))
+        mu = upper if drop <= 0.0 else min(max(lo + (upper - lo) ** 2 / drop, lower), upper)
     except np.linalg.LinAlgError:  # r deleted rows that the modes in H cannot hold
         mu = hi
     while True:
@@ -227,15 +239,16 @@ def greedy_select(
     ``p``: first that of ``B^{2k}`` itself, then that of the restriction it
     last decomposed. Every pick deletes the ``r`` rows picked since it, and
     the r x r secular equation of the held pair gives the new eigenpair in
-    typically 2 or 3 iterations of O(r^2 p + r^3). Once ``r^2 > p`` the
-    restriction is decomposed afresh from ``B^{2k}`` and held in turn:
-    about one pick in ``sqrt(p)``, so 12 decompositions for m = 90 at
-    n = 100 and 4 for m = 80 at n = 400. The crossover is measured with one
-    BLAS thread: a block step costs 0.15-0.38 ms at p <= 100 (mean 0.21 ms)
-    against 1.0 ms for an ``eigh`` of size 89, and 0.3-1.3 ms at p <= 400
-    (mean 0.9 ms) against 20 ms for one of size 380; fitted to these costs,
-    ``r^2 > p`` is within 5% of the cheapest fixed block length per pick at
-    both sizes. Cutoffs of the first block's picks, the first ``sqrt(n)``,
+    typically 2 iterations of O(r^2 p + r^3). Once ``r^2 > p`` the
+    restriction is decomposed afresh from ``B^{2k}`` and held in turn,
+    unless that would serve at most one more pick: about one pick in
+    ``sqrt(p)``, so 11 decompositions for m = 90 at n = 100 and 3 for
+    m = 80 at n = 400. The crossover is measured with one BLAS thread: a
+    block step costs 0.12-0.33 ms at p <= 100 (mean 0.19 ms) against 0.9 ms
+    for an ``eigh`` of size 89, and 0.18-0.83 ms at p <= 400 (mean 0.43 ms)
+    against 18.5 ms for one of size 389; timed against fixed block lengths
+    on those instances, ``r^2 > p`` is within 5% of the cheapest at both
+    sizes. Cutoffs of the first block's picks, the first ``sqrt(n)``,
     are exact to roundoff; later ones inherit the ``eps ||B^{2k}||`` floor
     of the squared restriction they delete from. Deterministic for fixed
     inputs.
@@ -266,7 +279,8 @@ def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
     while True:
         order.append(int(held[i]))
         rows.append(i)
-        if len(rows) ** 2 > len(held):
+        # a refresh that would serve at most one more pick costs more than the block steps it saves
+        if len(rows) ** 2 > len(held) and len(order) < m - 1:
             if gram is None:
                 gram = (v * d) @ v.T
             held, rows = np.delete(held, rows), []

@@ -378,10 +378,6 @@ class TestBench:
         monkeypatch.setattr(sys, "stderr", io.StringIO())
         assert cli._progress(2) is None
 
-    def test_bad_fracs_exit_two(self, tmp_path):
-        code = main(["bench", "bound", "--fracs", "0.5:0.1:0.1", "--out", str(tmp_path)])
-        assert code == 2
-
     def test_fracs_count_is_bounded_before_any_list_is_built(self):
         # a step this small once made the parser loop without end; the alarm turns a hang into a failure
         previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("--fracs parsing did not return"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphsampling as gs
-from graphsampling.errors import DimensionMismatchError, EmptyVertexSetError
+from graphsampling.errors import DegenerateCellError, DimensionMismatchError, EmptyVertexSetError
 from helpers import PATH3_LAP, geometric_instance
 
 PATH3 = gs.Graph(np.array([[0.0, 1, 0], [1, 0, 1], [0, 1, 0]]))
@@ -32,6 +32,12 @@ RULES = {
         lambda: gs.PointCloud(np.zeros((0, 2)), 10.0), ValueError, "positions must be a nonempty (n, 2) array"
     ),
     "kernel-zero-sigma": (lambda: gs.gaussian_kernel_graph(CLOUD, 0.0), ValueError, "sigma must be positive"),
+    # the crossing points of site 0's cell round onto its corner: three vertices, area 0.0
+    "voronoi-zero-area": (
+        lambda: gs.voronoi_areas(gs.PointCloud(np.array([[0.0, 0.0], [1.00489231e-57, 1.00489231e-57]]), 10.0)),
+        DegenerateCellError,
+        "Voronoi cell of site 0 is degenerate",
+    ),
     "sinewave-zero-cycles": (lambda: gs.sinewave_signal(CLOUD, 0), ValueError, "cycles must be a positive integer"),
     # graphs
     "inner-unknown-variant": (

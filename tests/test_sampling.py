@@ -77,6 +77,42 @@ def two_triangles():
     return gs.Graph(w)
 
 
+def record_growth(monkeypatch, seed, n, m):
+    """Greedy selection of ``m`` on a seeded Voronoi instance, recorded.
+
+    Returns the shapes of its dense ``eigh`` calls interleaved with its block
+    steps, and the number of bordered ``eigh`` calls in each block step.
+    """
+    pc, g, lap = geometric_instance(seed=seed, n=n)
+    inner = gs.voronoi_areas(pc)
+    eigh, deleted_root, calls, bordered = np.linalg.eigh, gs.sampling._deleted_root, [], []
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    def recorded_block(vals, vecs, rows, lo):
+        calls.append(("block", len(rows), len(vals)))
+        before = len(calls)
+        out = deleted_root(vals, vecs, rows, lo)
+        bordered.append(len(calls) - before)
+        del calls[before:]
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(gs.sampling, "_deleted_root", recorded_block)
+    gs.greedy_select(lap, inner, m, k=3)
+    return calls, bordered
+
+
+def block_schedule(n, m, held):
+    """The record of :func:`record_growth` for refreshes to the sizes ``held[1:]``: block steps in between."""
+    expected = [(n, n)]
+    for p, fresh in zip(held, held[1:]):
+        expected += [("block", r, p) for r in range(1, p - fresh)] + [(fresh, fresh)]
+    return expected + [("block", r, held[-1]) for r in range(1, m - (n - held[-1]) + 1)]
+
+
 class TestSpectralProxy:
     def test_eigenmodes_give_their_frequency(self):
         pc, g, lap = geometric_instance(seed=1, n=10, kernel_sigma=2.0)
@@ -289,32 +325,22 @@ class TestGreedySelect:
 
     def test_growth_phase_decomposes_once_per_block(self, monkeypatch):
         # the basis, then the restriction afresh whenever the r rows picked since
-        # the held decomposition of size p reach r^2 > p; every other pick is a
-        # block step of the secular equation, whose small bordered eigh calls
-        # are left out of the record
-        pc, g, lap = geometric_instance(seed=3, n=100)
-        inner = gs.voronoi_areas(pc)
-        eigh, deleted_root, calls = np.linalg.eigh, gs.sampling._deleted_root, []
+        # the held decomposition of size p reach r^2 > p, unless that would serve
+        # at most one more pick; every other pick is a block step of the secular
+        # equation, whose small bordered eigh calls are counted apart
+        held = [100, 89, 79, 70, 61, 53, 45, 38, 31, 25, 19, 14]
+        calls, bordered = record_growth(monkeypatch, seed=3, n=100, m=90)
+        assert calls == block_schedule(100, 90, held)
+        # a start at the frozen-M_H root g(lo) alone takes 2.6 calls per block pick
+        assert np.mean(bordered) < 2.2
 
-        def counting_eigh(a):
-            calls.append(a.shape)
-            return eigh(a)
-
-        def recorded_block(vals, vecs, rows, lo):
-            calls.append(("block", len(rows), len(vals)))
-            before = len(calls)
-            out = deleted_root(vals, vecs, rows, lo)
-            del calls[before:]
-            return out
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(gs.sampling, "_deleted_root", recorded_block)
-        gs.greedy_select(lap, inner, 90, k=3)
-        held = [100, 89, 79, 70, 61, 53, 45, 38, 31, 25, 19, 14, 10]
-        expected = [(100, 100)]
-        for p, fresh in zip(held, held[1:]):
-            expected += [("block", r, p) for r in range(1, p - fresh)] + [(fresh, fresh)]
-        assert calls == expected
+    def test_growth_phase_refreshes_three_times_at_n400(self, monkeypatch):
+        # picks 61 to 80 delete rows from the 340-vertex decomposition: a fourth
+        # refresh at pick 79 would serve pick 80 only
+        calls, bordered = record_growth(monkeypatch, seed=2, n=400, m=80)
+        assert calls == block_schedule(400, 80, [400, 379, 359, 340])
+        # a start at the frozen-M_H root g(lo) alone takes 2.9 calls per block pick
+        assert np.mean(bordered) < 2.2
 
     @pytest.mark.parametrize("seed, unit", [(2, 19), (3, 21), (3, 46)])
     def test_first_block_cutoffs_are_exact(self, seed, unit):
