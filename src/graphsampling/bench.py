@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Sequence
@@ -25,9 +24,10 @@ from .graphs import (
 from .reconstruction import (
     PocsParams,
     _cheb_coeffs,
+    _design,
+    _fit,
     _pocs_solve,
     _spectral_filters,
-    consistent_reconstruct,
     e_opt_metric,
 )
 from .sampling import _greedy_from_basis
@@ -102,6 +102,9 @@ def _run_realizations(realizations: int, worker: Callable[[int], np.ndarray], wo
     # more threads than cores, or than realizations, would only contend
     workers = min(workers, realizations, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: concurrent.futures loads logging, queue and heapq, which one worker never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, range(realizations)))
     return [worker(idx) for idx in range(realizations)]
@@ -225,10 +228,13 @@ def run_mse_experiment(
     at it. Failed reconstructions are recorded per cell.
 
     Every (signal, noise) pair of one variant and size shares the sampling
-    set and so the PoCS low-pass. Per variant, the analysis matrix is scaled
-    once and every size's filter response comes from one Clenshaw pass; each
-    size's synthesis matrix is scaled when the size loop reaches it, and only
-    the CG solve runs per signal. Each cell equals the public
+    set, and so the closed form's fit and the PoCS low-pass. The closed form
+    takes one SVD of each size's design and applies it to every pair, and a
+    rank-deficient design fails that size for every pair at once. For PoCS,
+    per variant, the analysis matrix is scaled once and every size's filter
+    response comes from one Clenshaw pass; each size's synthesis matrix is
+    scaled when the size loop reaches it, and only the CG solve runs per
+    signal. Each cell equals the public :func:`consistent_reconstruct` or
     :func:`pocs_reconstruct` call bit for bit.
     """
     if method not in RECON_METHODS:
@@ -269,20 +275,20 @@ def run_mse_experiment(
             if method == "pocs":
                 lowpass = next(lowpasses)
             else:
-                band = _band_from_cutoff(basis.frequencies, omegas[si], size)
+                _, _, root, a = _design(basis, chosen, _band_from_cutoff(basis.frequencies, omegas[si], size))
+                try:
+                    fit = _fit(basis, a)[0]
+                except RankDeficientError:
+                    out[:, :, si] = np.nan
+                    continue
             for ci, c in enumerate(cycles):
                 for ni, s in enumerate(sigmas):
                     y = noisy[c, s][chosen]
-                    try:
-                        if method == "closed-form":
-                            rep = consistent_reconstruct(basis, chosen, y, band=band)
-                        else:
-                            rep = _pocs_solve(lowpass, basis.inner, chosen, y, params[si])
-                        err = q_norm(rep.x_hat - truths[c], metric)
-                        if not np.isfinite(err):
-                            err = np.nan
-                    except RankDeficientError:
-                        err = np.nan
-                    out[ci, ni, si] = err
+                    if method == "closed-form":
+                        x_hat = fit(root * y)
+                    else:
+                        x_hat = _pocs_solve(lowpass, basis.inner, chosen, y, params[si]).x_hat
+                    err = q_norm(x_hat - truths[c], metric)
+                    out[ci, ni, si] = err if np.isfinite(err) else np.nan
 
     return _sweep(cfg, realizations, sample_fracs, variants, workers, progress, block, cycles, sigmas, draw)

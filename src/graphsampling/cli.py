@@ -182,7 +182,7 @@ def _basis_code() -> bytes | None:
 
 
 class _Instance:
-    """The graph and one inner product of a ``gen`` directory, and the basis ``select`` left beside them.
+    """The Laplacian and one inner product of a ``gen`` directory, and the basis ``select`` left beside them.
 
     The basis file ``basis_<q>.bin`` holds one JSON header line,
     ``{"key": ..., "n": n, "sha256": ...}``, then the frequencies and the
@@ -191,7 +191,8 @@ class _Instance:
     ``q_<q>.json`` and of :func:`_basis_code`, and ``sha256`` that of the
     numbers. A file whose key differs, or that is missing, truncated or
     unreadable, counts as absent: the graph is then parsed, and the basis
-    computed, as without one.
+    computed, as without one. Only the graph's Laplacian is kept, and only
+    until the basis is computed from it.
     """
 
     def __init__(self, directory: Path, variant: str):
@@ -204,8 +205,8 @@ class _Instance:
         code = _basis_code()
         self.key = None if q_raw is None or code is None else _digest(code, graph_raw, q_raw).hex()
         cached = self._load()
-        self.graph = None if cached else _read_json(graph_path, graph_from_json, graph_raw)
-        self.n = len(cached[0]) if cached else self.graph.n
+        self.laplacian = None if cached else combinatorial_laplacian(_read_json(graph_path, graph_from_json, graph_raw))
+        self.n = len(cached[0]) if cached else len(self.laplacian)
         self.inner = _read_json(q_path, lambda doc: _inner(doc, self.n), q_raw)
         self.cached = SpectralBasis(cached[1], cached[0], self.inner) if cached else None
 
@@ -226,20 +227,29 @@ class _Instance:
         return numbers[:n], numbers[n:].reshape(n, n)
 
     def basis(self) -> SpectralBasis:
-        """The basis of the variation operator: the one in the basis file, else computed."""
+        """The basis of the variation operator: the one in the basis file, else computed from the Laplacian.
+
+        A computed basis releases the Laplacian, so it is computed at most once.
+        """
         if self.cached is not None:
             return self.cached
-        return compute_basis(combinatorial_laplacian(self.graph), self.inner)
+        laplacian, self.laplacian = self.laplacian, None
+        return compute_basis(laplacian, self.inner)
 
     def store(self, basis: SpectralBasis) -> None:
         """Leave ``basis`` in the basis file, if it was computed here; a failed write leaves no file and no error."""
         if self.key is None or self.cached is not None:
             return
-        body = np.concatenate([basis.frequencies, basis.modes.ravel()]).astype("<f8").tobytes()
-        header = json.dumps({"key": self.key, "n": basis.n, "sha256": hashlib.sha256(body).hexdigest()})
+        # on a little-endian host these are the arrays' own memory, hashed and written without a copy
+        body = [np.ascontiguousarray(a, dtype="<f8") for a in (basis.frequencies, basis.modes)]
+        digest = hashlib.sha256(body[0])
+        digest.update(body[1])
+        header = json.dumps({"key": self.key, "n": basis.n, "sha256": digest.hexdigest()})
         part = self.path.with_name(f"{self.path.name}.{os.getpid()}.part")
         try:
-            part.write_bytes(header.encode("ascii") + b"\n" + body)
+            with part.open("wb") as fh:
+                fh.write(header.encode("ascii") + b"\n")
+                fh.writelines(body)
             os.replace(part, self.path)
         except OSError:
             with contextlib.suppress(OSError):

@@ -94,13 +94,20 @@ def gaussian_kernel_graph(pc: PointCloud, sigma: float) -> Graph:
     The squared distances are ``(x_i - x_j)**2 + (y_i - y_j)**2`` summed from
     two n x n planes, the same two squares in the same order as a sum over an
     (n, n, 2) stack of coordinate differences, without that stack's strided
-    reduction.
+    reduction. The sum is negated, divided and exponentiated in its own
+    buffer, the same operations in the same order as
+    ``exp(-dist2 / (2 sigma^2))``.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     x, y = pc.positions.T
-    dist2 = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
-    w = np.exp(-dist2 / (2.0 * sigma * sigma))
+    w, dy = x[:, None] - x, y[:, None] - y
+    np.square(w, out=w)
+    w += np.square(dy, out=dy)
+    del dy
+    np.negative(w, out=w)
+    w /= 2.0 * sigma * sigma
+    np.exp(w, out=w)
     np.fill_diagonal(w, 0.0)
     return Graph(w)
 

@@ -22,6 +22,20 @@ def _freeze(obj, name: str, dtype=float) -> np.ndarray:
     return out
 
 
+def _symmetric(m: np.ndarray, rtol: float, name: str) -> np.ndarray:
+    """``|m - m^T|`` after checking that no entry exceeds ``rtol * max(1, max |m|)``, else a ``ValueError`` naming ``name``.
+
+    ``m`` must be finite. The difference is formed in one array, which is
+    returned for the caller to reuse as a buffer.
+    """
+    scale = max(1.0, abs(float(m.max())), abs(float(m.min())))
+    diff = np.subtract(m, m.T)
+    np.abs(diff, out=diff)
+    if float(diff.max()) > rtol * scale:
+        raise ValueError(f"{name} matrix must be symmetric")
+    return diff
+
+
 def _integer(value, name: str) -> int:
     """``value`` as an ``int``: a Python or numpy integer but not a bool, else a ``ValueError`` naming ``name``."""
     if not isinstance(value, bool):
@@ -50,9 +64,7 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        scale = max(1.0, float(np.abs(w).max()))
-        if float(np.abs(w - w.T).max()) > 1e-12 * scale:
-            raise ValueError("weight matrix must be symmetric")
+        _symmetric(w, 1e-12, "weight")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         if np.diagonal(w).any():
@@ -100,9 +112,13 @@ def combinatorial_laplacian(g: Graph) -> np.ndarray:
 
     Rows sum to zero and the matrix is positive semidefinite for any valid
     graph, so it serves as the variation operator everywhere in this package.
+    Formed in one array: ``0.0 - W`` with ``deg - diag(W)`` written on its
+    diagonal, the same bits as ``np.diag(deg) - W``.
     """
     w = g.weights
-    return np.diag(w.sum(axis=1)) - w
+    lap = np.subtract(0.0, w)
+    np.fill_diagonal(lap, w.sum(axis=1) - np.diagonal(w))
+    return lap
 
 
 def degree_matrix(g: Graph) -> InnerProduct:
@@ -161,6 +177,11 @@ def q_norm(x, inner: InnerProduct) -> float:
     return float(np.sqrt(q_inner(x, x, inner)))
 
 
+def _upper(n: int) -> np.ndarray:
+    """Boolean mask of the strict upper triangle; its row-major order is ``np.triu_indices(n, 1)`` order."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 def graph_to_json(g: Graph) -> dict:
     """JSON-friendly dict ``{"n": n, "upper_f8le": "<base64>"}``.
 
@@ -168,8 +189,8 @@ def graph_to_json(g: Graph) -> dict:
     (``np.triu_indices(n, 1)`` order), as little-endian float64 bytes in
     base64, so the weights round-trip bit for bit.
     """
-    upper = g.weights[np.triu_indices(g.n, 1)].astype("<f8")
-    return {"n": g.n, "upper_f8le": base64.b64encode(upper.tobytes()).decode("ascii")}
+    upper = g.weights[_upper(g.n)].astype("<f8", copy=False)
+    return {"n": g.n, "upper_f8le": base64.b64encode(upper).decode("ascii")}
 
 
 def graph_from_json(data: dict) -> Graph:
@@ -191,8 +212,9 @@ def graph_from_json(data: dict) -> Graph:
     if len(raw) != 8 * (n * (n - 1) // 2):
         raise ValueError(f"upper_f8le holds {len(raw)} bytes, but n = {n} needs 8 * n(n-1)/2 = {4 * n * (n - 1)}")
     # row-major order of the mask is triu_indices order, in w and in its transpose
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    upper = _upper(n)
     w = np.zeros((n, n))
     # both triangles from the same bits: w + w.T would turn a -0.0 weight into +0.0
     w[upper] = w.T[upper] = np.frombuffer(raw, dtype="<f8")
+    del raw, upper  # not held while Graph copies and checks w
     return Graph(w)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,14 +91,16 @@ def e_opt_metric(basis: SpectralBasis, sampled, band: int) -> float:
     return float(_svd(a)[-1])
 
 
-def _fit(basis: SpectralBasis, a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares synthesis ``U_band a^+ rhs`` of weighted samples, and ``sigma_min(a)``.
+def _fit(basis: SpectralBasis, a: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The least-squares synthesis ``rhs -> U_band a^+ rhs`` of weighted samples, and ``sigma_min(a)``.
 
-    Solved by the thin SVD of ``a``, which does not square its condition number as a Gram matrix would.
+    Solved by one thin SVD of ``a``, which does not square its condition
+    number as a Gram matrix would; the synthesis applies it to any
+    right-hand side, a vector or the columns of a matrix.
     """
     w, sigma, vt = _svd(a, compute_uv=True)
-    coeffs = vt.T @ ((w / sigma).T @ rhs)
-    return basis.modes[:, : a.shape[1]] @ coeffs, float(sigma[-1])
+    left, right, modes = (w / sigma).T, vt.T, basis.modes[:, : a.shape[1]]
+    return (lambda rhs: modes @ (right @ (left @ rhs))), float(sigma[-1])
 
 
 def consistent_reconstruct(
@@ -131,7 +134,7 @@ def consistent_reconstruct(
         If the weighted design is singular: ``sigma_min <= |S| eps sigma_max``.
     """
     s, y, root, a = _design(basis, sampled, band, values)
-    x_hat, _ = _fit(basis, a, root * y)
+    x_hat = _fit(basis, a)[0](root * y)
     residual = float(np.max(np.abs(x_hat[s] - y)))
     q_err = q_norm(x_hat - np.asarray(truth, dtype=float), basis.inner) if truth is not None else None
     return ReconstructionReport(x_hat, 0, residual, q_error=q_err)
@@ -146,7 +149,7 @@ def error_covariance(basis: SpectralBasis, sampled, band: int) -> np.ndarray:
     ``F F^T Q``.
     """
     _, _, _, a = _design(basis, sampled, band)
-    f, _ = _fit(basis, a, np.eye(a.shape[0]))
+    f = _fit(basis, a)[0](np.eye(a.shape[0]))
     return (f @ f.T) * basis.inner.entries[None, :]
 
 
@@ -163,9 +166,9 @@ def verify_error_bound(basis: SpectralBasis, sampled, band: int, x):
     if x.shape != (basis.n,):
         raise DimensionMismatchError(f"signal must have shape ({basis.n},)")
     s, _, root, a = _design(basis, sampled, band)
-    fit, sigma = _fit(basis, a, root * x[s])
+    fit, sigma = _fit(basis, a)
     _, high = bandlimit_split(basis, x, a.shape[1])
-    return q_norm(x - fit, basis.inner), q_norm(high, basis.inner) / sigma
+    return q_norm(x - fit(root * x[s]), basis.inner), q_norm(high, basis.inner) / sigma
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,7 @@ def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
     m = _check_target(m, n)
     q = inner.entries
     v, d = _eigenpairs(basis, k)
+    # B^{2k} on the vertices `held`, formed at the first refresh and cut down at each one
     gram = None
     # (vals, vecs): eigenpairs of B^{2k} on the vertices `held`, whose rows `rows` are picked since
     held, vals, vecs, rows = np.arange(n), d, v, []
@@ -282,9 +283,13 @@ def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
         # a refresh that would serve at most one more pick costs more than the block steps it saves
         if len(rows) ** 2 > len(held) and len(order) < m - 1:
             if gram is None:
-                gram = (v * d) @ v.T
-            held, rows = np.delete(held, rows), []
-            vals, vecs = np.linalg.eigh(gram[np.ix_(held, held)])
+                gram, v = (v * d) @ v.T, None
+            # the held pair is released before the refresh replaces it, and the Gram before it is decomposed
+            vals = vecs = None
+            keep = np.delete(np.arange(len(held)), rows)
+            held, rows = held[keep], []
+            gram = gram[np.ix_(keep, keep)]
+            vals, vecs = np.linalg.eigh(gram)
             mu, z = float(vals[0]), vecs[:, 0]
         else:
             mu, z = _deleted_root(vals, vecs, rows, mu)

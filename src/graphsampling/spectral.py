@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotFiniteError
-from .graphs import InnerProduct, _freeze, _integer
+from .graphs import InnerProduct, _freeze, _integer, _symmetric
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,10 @@ class SpectralBasis:
 
 
 def _symmetrized(variation: np.ndarray, inner: InnerProduct) -> np.ndarray:
-    """The self-adjoint operator ``B = Q^{-1/2} M Q^{-1/2}`` of a checked variation matrix."""
+    """The self-adjoint operator ``B = Q^{-1/2} M Q^{-1/2}`` of a checked variation matrix.
+
+    Formed in the array of the symmetry check: ``M * outer(r, r)`` with ``r = Q^{-1/2}``.
+    """
     m = np.asarray(variation, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("variation matrix must be square")
@@ -43,11 +46,10 @@ def _symmetrized(variation: np.ndarray, inner: InnerProduct) -> np.ndarray:
         )
     if not np.isfinite(m).all():
         raise NotFiniteError("variation matrix contains non-finite values")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-10 * scale:
-        raise ValueError("variation matrix must be symmetric")
+    sym = _symmetric(m, 1e-10, "variation")
     root_inv = 1.0 / np.sqrt(inner.entries)
-    return m * np.outer(root_inv, root_inv)
+    np.multiply.outer(root_inv, root_inv, out=sym)
+    return np.multiply(m, sym, out=sym)
 
 
 def compute_basis(variation: np.ndarray, inner: InnerProduct) -> SpectralBasis:
@@ -74,19 +76,20 @@ def compute_basis(variation: np.ndarray, inner: InnerProduct) -> SpectralBasis:
     """
     sym = _symmetrized(variation, inner)
     try:
-        lam, vecs = np.linalg.eigh(sym)
+        lam, modes = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NotFiniteError("eigensolver failed to converge") from exc
-    if not (np.isfinite(lam).all() and np.isfinite(vecs).all()):
+    del sym
+    if not (np.isfinite(lam).all() and np.isfinite(modes).all()):
         raise NotFiniteError("eigensolver produced non-finite values")
     if lam[0] < -1e-10 * max(1.0, abs(float(lam[-1]))):
         raise ValueError("variation matrix is not positive semidefinite")
     lam = np.where(lam < 0.0, 0.0, lam)
 
-    modes = vecs * (1.0 / np.sqrt(inner.entries))[:, None]
-    lead = np.argmax(np.abs(modes) > 1e-12, axis=0)
-    signs = np.where(modes[lead, np.arange(modes.shape[1])] < 0.0, -1.0, 1.0)
-    modes = modes * signs
+    # formed and sign-fixed in eigh's output; |x| > t as two comparisons needs no float temporary
+    modes *= (1.0 / np.sqrt(inner.entries))[:, None]
+    lead = np.argmax((modes > 1e-12) | (modes < -1e-12), axis=0)
+    modes *= np.where(modes[lead, np.arange(modes.shape[1])] < 0.0, -1.0, 1.0)
     return SpectralBasis(modes, lam, inner)
 
 

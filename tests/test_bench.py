@@ -1,5 +1,6 @@
 """Benchmark drivers: determinism, schema, aggregation, and trend sanity."""
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -71,7 +72,8 @@ def non_finite(*args, **kwargs):
     "name, ids_at, fail, run",
     [
         ("e_opt_metric", 1, rank_deficient, lambda: gs.run_bound_experiment(SMALL, 3, FRACS)),
-        ("consistent_reconstruct", 1, rank_deficient, lambda: gs.run_mse_experiment(SMALL, 3, FRACS, [2], [0.1])),
+        # the closed form fits each size's design once, so a rank-deficient design fails the size for every pair
+        ("_fit", 1, rank_deficient, lambda: gs.run_mse_experiment(SMALL, 3, FRACS, [2, 3], [0.1, 0.2])),
         ("_pocs_solve", 2, non_finite, lambda: gs.run_mse_experiment(SMALL, 3, FRACS, [2], [0.1], method="pocs")),
     ],
     ids=["bound-rank-deficient", "mse-rank-deficient", "mse-non-finite"],
@@ -192,6 +194,47 @@ class TestMseExperiment:
         # 3 variants x 2 sizes filters from one Clenshaw pass per variant, 24 solves
         assert calls == {"clenshaw": 3, "coeffs": 6, "filters": 6, "solves": 24}
 
+    def test_closed_form_cells_equal_the_public_calls_bit_for_bit(self):
+        # the experiment fits each sampling set once; the public call fits per signal
+        cfg = gs.GeoConfig(n=30, seed=5, kernel_sigma=1.5)
+        fracs, cycles, sigmas = [0.3, 0.6], [2, 3], [0.1, 0.2]
+        table = gs.run_mse_experiment(cfg, 1, fracs, cycles, sigmas)
+        rng = gs.realization_rng(cfg.seed, 0)
+        pc, g, lap = gs.build_instance(cfg, rng)
+        metric = gs.voronoi_areas(pc)
+        truths = {c: gs.sinewave_signal(pc, c) for c in cycles}
+        noisy = {(c, s): gs.add_noise(truths[c], s, rng) for c in cycles for s in sigmas}
+        sizes = gs.sample_sizes(cfg.n, fracs)
+        expected = []
+        for variant in gs.VARIANTS:
+            inner = gs.inner_for_variant(variant, g, pc)
+            basis = gs.compute_basis(lap, inner)
+            selection = gs.greedy_select(lap, inner, sizes[-1], k=cfg.proxy_k)
+            for c in cycles:
+                for s in sigmas:
+                    for size in sizes:
+                        chosen = selection.head(size)
+                        band = int(np.searchsorted(basis.frequencies, selection.cutoffs[size - 1]))
+                        band = min(max(band, 1), size)
+                        rep = gs.consistent_reconstruct(basis, chosen, noisy[c, s][chosen], band=band)
+                        expected.append(gs.q_norm(rep.x_hat - truths[c], metric))
+        assert [row.mean_value for row in table.rows] == expected
+
+    def test_closed_form_takes_one_svd_per_variant_and_size(self, monkeypatch):
+        calls = []
+
+        def svd(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real_svd(*args, **kwargs)
+
+        real_svd = reconstruction._svd
+        monkeypatch.setattr(reconstruction, "_svd", svd)
+        cfg = gs.GeoConfig(n=30, seed=5, kernel_sigma=1.5)
+        table = gs.run_mse_experiment(cfg, 1, [0.3, 0.6], [2, 3], [0.1, 0.2])
+        assert len(table.rows) == 3 * 2 * 2 * 2
+        # 3 variants x sizes 9 and 18, each shared by 4 (signal, noise) pairs
+        assert calls == [9, 18] * 3
+
     def test_metric_independent_of_selection_variant(self):
         # the error metric weights are the cell areas for every variant row
         cfg = gs.GeoConfig(n=12, seed=30, kernel_sigma=2.0)
@@ -282,6 +325,7 @@ def test_worker_pool_is_clamped_to_cores_and_realizations(monkeypatch, cores, re
             return map(fn, items)
 
     monkeypatch.setattr(bench.os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(bench, "ThreadPoolExecutor", RecordingPool)
+    # bench imports the pool class when it needs one, so the class is replaced where it is imported from
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     assert bench._run_realizations(realizations, lambda idx: idx, workers) == list(range(realizations))
     assert sizes == ([] if pool is None else [pool])

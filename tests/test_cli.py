@@ -7,6 +7,7 @@ import json
 import shutil
 import signal
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -759,6 +760,28 @@ def test_a_failed_basis_write_leaves_select_at_exit_zero(tmp_path, capsys):
     assert stable_text(tmp_path / "selection_degree.json") == expected
     assert (tmp_path / "basis_degree.bin").is_dir()
     assert not list(tmp_path.glob("*.part"))
+
+
+# n x n float64 arrays each command may hold at once, as tracemalloc counts them (numpy's arrays
+# and Python's objects, not LAPACK's workspace): above the 3.1 and 4.5 held, below the 5.1 and
+# 6.6 held when each step kept its own copies and temporaries
+PEAK_ARRAYS = {"gen": 4.0, "select": 5.5}
+
+
+def test_gen_and_select_hold_few_n_by_n_arrays(tmp_path):
+    # a small chain first, so that lazy imports and caches are not counted
+    gen(tmp_path / "warm-up")
+    assert main(["select", "--dir", str(tmp_path / "warm-up"), "--m", "4"]) == 0
+    n, d = 300, tmp_path / "fresh"
+    commands = {"gen": ["gen", "--n", str(n), "--seed", "3", "--out", str(d)], "select": ["select", "--dir", str(d), "--m", "60"]}
+    for name, argv in commands.items():
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_ARRAYS[name] * 8 * n * n, f"{name} held {peak / (8 * n * n):.2f} n x n arrays"
 
 
 def test_pocs_x_hat_equals_the_public_call(tmp_path):

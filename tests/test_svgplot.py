@@ -61,8 +61,11 @@ def test_escape_matches_saxutils():
 
 
 def test_cli_import_loads_no_network_or_xml_stack():
-    # saxutils imports urllib.request, which pulls in http, email and ssl on every CLI start
+    # saxutils imports urllib.request, which pulls in http, email and ssl on every CLI start;
+    # concurrent.futures pulls in logging, queue and heapq, which only a worker pool needs
     code = "import sys; s = set(sys.modules); import graphsampling.cli; print(*{m.split('.')[0] for m in set(sys.modules) - s})"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(graphsampling.__file__))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert not {"urllib", "http", "email", "ssl", "xml"} & set(run.stdout.split())
+    loaded = set(run.stdout.split())
+    assert not {"urllib", "http", "email", "ssl", "xml"} & loaded
+    assert not {"concurrent", "logging", "queue", "heapq"} & loaded
