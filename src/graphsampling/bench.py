@@ -148,8 +148,9 @@ def _sweep(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     variants = tuple(variants)
-    if len(set(variants)) != len(variants):
-        raise ValueError(f"variants must be distinct, got {list(variants)}")
+    for name, values in (("variants", variants), ("signal_cycles", cycles), ("noise_sigmas", sigmas)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be distinct, got {list(values)}")
     sizes = sample_sizes(cfg.n, sample_fracs)
 
     def one(idx: int) -> np.ndarray:
@@ -243,9 +244,6 @@ def run_mse_experiment(
         raise ValueError("need at least one signal and one noise level")
     cycles = tuple(_integer(c, "signal_cycles") for c in signal_cycles)
     sigmas = tuple(float(s) for s in noise_sigmas)
-    for name, values in (("signal_cycles", cycles), ("noise_sigmas", sigmas)):
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} must be distinct, got {list(values)}")
 
     def draw(rng, pc, inners):
         # the Voronoi areas are also the error metric
@@ -267,7 +265,7 @@ def run_mse_experiment(
         omegas = [float(selection.cutoffs[size - 1]) for size in sizes]
         if method == "pocs":
             lam_max = _lambda_max(basis)
-            params = [PocsParams(omega=min(omega, lam_max), lambda_max=lam_max) for omega in omegas]
+            params = [PocsParams(omega=omega, lambda_max=lam_max) for omega in omegas]
             lowpasses = _spectral_filters(basis, np.stack([_cheb_coeffs(p) for p in params]), lam_max)
         for si, size in enumerate(sizes):
             # sorted distinct vertices of the basis: the samples _paired_samples would return

@@ -27,7 +27,7 @@ from .bench import (
 from .errors import GraphSamplingError, NotFiniteError
 from .geometry import GeoConfig, build_instance
 from .graphs import VARIANTS, InnerProduct, combinatorial_laplacian, graph_from_json, graph_to_json
-from .reconstruction import PocsParams, _pocs_from_basis, consistent_reconstruct
+from .reconstruction import PocsParams, _paired_samples, _pocs_from_basis, consistent_reconstruct
 from .sampling import DEFAULT_PROXY_ORDER, _check_order, _check_target, _greedy_from_basis
 from .spectral import SpectralBasis, _lambda_max, compute_basis
 from .svgplot import line_chart
@@ -115,15 +115,15 @@ def _out_file(text: str) -> Path:
     return out
 
 
-def _numbers(values, count: int | None = None) -> np.ndarray:
-    """``values`` as floats, if it is a JSON list of finite numbers within the range of a double, ``count`` if given."""
+def _numbers(values, count: int) -> np.ndarray:
+    """``values`` as floats, if it is a JSON list of ``count`` finite numbers within the range of a double."""
     # numpy would take booleans and numeric strings as numbers
-    if isinstance(values, list) and count in (None, len(values)) and all(type(v) in (int, float) for v in values):
+    if isinstance(values, list) and len(values) == count and all(type(v) in (int, float) for v in values):
         with contextlib.suppress(OverflowError):
             out = np.asarray(values, dtype=float)
             if np.isfinite(out).all():
                 return out
-    raise ValueError(f"expected a list of {'' if count is None else f'{count} '}finite numbers")
+    raise ValueError(f"expected a list of {count} finite numbers")
 
 
 def _inner(doc, n: int) -> InnerProduct:
@@ -140,14 +140,9 @@ def _ids(doc, field: str) -> list:
 
 
 def _samples(doc, n: int) -> tuple[list, np.ndarray]:
-    """``--samples`` ids and values: one or more distinct ids in ``[0, n)`` and as many finite numbers."""
+    """``--samples`` ids, checked by the library's sample rule, and as many finite numbers."""
     vertices = _ids(doc, "vertices")
-    if not vertices:
-        raise ValueError("at least one sample is required")
-    if not all(0 <= v < n for v in vertices):
-        raise ValueError(f"vertex id out of range [0, {n})")
-    if len(set(vertices)) < len(vertices):
-        raise ValueError("duplicate vertex ids")
+    _paired_samples(vertices, None, n)
     return vertices, _numbers(doc["values"], len(vertices))
 
 

@@ -144,7 +144,9 @@ def vertex_set(indices, n: int) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("vertex set must be one-dimensional")
     if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("vertex ids must be integers")
+        # numpy holds Python ints beyond int64 as floats or objects
+        wide = all(type(v) is int for v in np.asarray(indices, dtype=object).flat)
+        raise ValueError(f"vertex id out of range [0, {n})" if wide else "vertex ids must be integers")
     arr = arr.astype(np.intp)
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"vertex id out of range [0, {n})")

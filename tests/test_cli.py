@@ -8,6 +8,7 @@ import shutil
 import signal
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ class TestSelect:
 
     def test_missing_inputs_exit_one(self, tmp_path):
         assert main(["select", "--dir", str(tmp_path / "nope"), "--q", "degree", "--m", "4"]) == 1
+
+    def test_missing_inner_product_is_named_after_the_graph(self, tmp_path, capsys):
+        gen(tmp_path, "--q", "voronoi")
+        argv = ["select", "--dir", str(tmp_path), "--q", "degree", "--m", "4"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert str(tmp_path / "q_degree.json") in capsys.readouterr().err
+        (tmp_path / "graph.json").write_text("not json", encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'graph.json'}: ")
 
     def test_deterministic_output(self, tmp_path):
         gen(tmp_path, "--q", "identity")
@@ -615,12 +626,13 @@ def test_bad_truth_is_named_before_any_work(tmp_path, capsys, monkeypatch, metho
         ('{"vertices": [0, 1], "values": [NaN, 2.0]}', "expected a list of 2 finite numbers"),
         ('{"vertices": [0, 1], "values": [1' + "0" * 400 + ', 2.0]}', "expected a list of 2 finite numbers"),
         ('{"vertices": [0, 99], "values": [1.0, 2.0]}', "vertex id out of range [0, 24)"),
+        ('{"vertices": [0, 36893488147419103232], "values": [1.0, 2.0]}', "vertex id out of range [0, 24)"),
         ('{"vertices": [3, 3], "values": [1.0, 2.0]}', "duplicate vertex ids"),
         ('{"vertices": [], "values": []}', "at least one sample is required"),
     ],
     ids=[
         "list", "boolean-id", "string-value", "unequal-lengths", "nan-value", "int-beyond-double", "id-out-of-range",
-        "duplicate-id", "no-samples",
+        "id-beyond-int64", "duplicate-id", "no-samples",
     ],
 )
 def test_bad_samples_are_named_before_any_work(tmp_path, capsys, monkeypatch, text, problem):
@@ -760,6 +772,27 @@ def test_a_failed_basis_write_leaves_select_at_exit_zero(tmp_path, capsys):
     assert stable_text(tmp_path / "selection_degree.json") == expected
     assert (tmp_path / "basis_degree.bin").is_dir()
     assert not list(tmp_path.glob("*.part"))
+
+
+def test_unreadable_sources_leave_no_basis_file(selected, monkeypatch):
+    expected = {command: stable_text(run_in(selected, command)) for command in BASIS_READERS}
+    (selected / "basis_degree.bin").unlink()
+    read_bytes = Path.read_bytes
+
+    def no_sources(path):
+        if path.suffix == ".py":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    # without the package's sources no basis file can be keyed, so none is written or read
+    monkeypatch.setattr(Path, "read_bytes", no_sources)
+    cli._basis_code.cache_clear()
+    try:
+        for command in BASIS_READERS:
+            assert stable_text(run_in(selected, command)) == expected[command]
+            assert not (selected / "basis_degree.bin").exists()
+    finally:
+        cli._basis_code.cache_clear()
 
 
 # n x n float64 arrays each command may hold at once, as tracemalloc counts them (numpy's arrays

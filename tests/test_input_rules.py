@@ -47,6 +47,11 @@ RULES = {
     "inner-zero-entry": (
         lambda: gs.InnerProduct("custom", [1.0, 0.0]), ValueError, "entries must be finite and strictly positive"
     ),
+    # numpy holds these ids as objects and as floats, not as integers
+    "vertex-set-beyond-int64": (lambda: gs.vertex_set([0, 2**70], 5), ValueError, "vertex id out of range [0, 5)"),
+    "vertex-set-beyond-int64-unsigned": (
+        lambda: gs.vertex_set([0, 2**63], 5), ValueError, "vertex id out of range [0, 5)"
+    ),
     # spectral
     "synthesize-short-spectrum": (
         lambda: gs.synthesize(BASIS, np.ones(2)), DimensionMismatchError, "spectrum must have shape (3,)"
@@ -81,6 +86,10 @@ RULES = {
         DimensionMismatchError,
         "signal must have shape (3,)",
     ),
+    # the sample set and the band are checked before the signal
+    "bound-band-before-short-signal": (
+        lambda: gs.verify_error_bound(BASIS, [0, 1], 3, np.ones(2)), ValueError, "band must lie in [1, 2], got 3"
+    ),
     # bench
     "variant-unknown": (lambda: gs.inner_for_variant("plain", PATH3, CLOUD), ValueError, "unknown variant: 'plain'"),
     "mse-unknown-method": (
@@ -97,6 +106,25 @@ RULES = {
         lambda: gs.run_mse_experiment(SMALL, 1, [0.5], [2], []),
         ValueError,
         "need at least one signal and one noise level",
+    ),
+    "bound-repeated-variant": (
+        lambda: gs.run_bound_experiment(SMALL, 1, [0.5], variants=("degree", "degree")),
+        ValueError,
+        "variants must be distinct, got ['degree', 'degree']",
+    ),
+    "mse-repeated-signal": (
+        lambda: gs.run_mse_experiment(SMALL, 1, [0.5], [2, 2], [0.1]),
+        ValueError,
+        "signal_cycles must be distinct, got [2, 2]",
+    ),
+    "mse-repeated-noise-level": (
+        lambda: gs.run_mse_experiment(SMALL, 1, [0.5], [2], [0.1, 0.1]),
+        ValueError,
+        "noise_sigmas must be distinct, got [0.1, 0.1]",
+    ),
+    # the realization and worker counts are checked before the grid
+    "mse-no-realization-before-repeated-signal": (
+        lambda: gs.run_mse_experiment(SMALL, 0, [0.5], [2, 2], [0.1]), ValueError, "need at least one realization"
     ),
     # a noise level this close to the largest double draws infinite noise at some vertex
     "mse-noise-overflows": (

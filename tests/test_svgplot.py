@@ -40,6 +40,13 @@ def test_nan_breaks_polyline():
     assert svg.count("<circle") == 1
 
 
+def test_flat_series_is_widened_by_half_a_unit():
+    svg = line_chart([("flat", [0, 1, 2], [3.0, math.nan, 3.0])])
+    # y range [2.5, 3.5] before the 4% padding: ticks from 2.46 to 3.54, both points at mid-height
+    assert ">2.46</text>" in svg and ">3.54</text>" in svg
+    assert svg.count('cy="232.50"') == 2
+
+
 def test_log_scale_drops_nonpositive_values():
     svg = line_chart([("a", [0, 1, 2], [0.0, 10.0, 100.0])], log_y=True)
     assert "(log scale)" in svg
