@@ -224,17 +224,20 @@ class _Instance:
     def basis(self) -> SpectralBasis:
         """The basis of the variation operator: the one in the basis file, else computed from the Laplacian.
 
-        A computed basis releases the Laplacian, so it is computed at most once.
+        A computed basis is computed at most once: the Laplacian is handed over, not
+        held in a local, so it is freed before the eigensolver runs.
         """
         if self.cached is not None:
             return self.cached
-        laplacian, self.laplacian = self.laplacian, None
-        return compute_basis(laplacian, self.inner)
+        return compute_basis(vars(self).pop("laplacian"), self.inner)
 
-    def store(self, basis: SpectralBasis) -> None:
-        """Leave ``basis`` in the basis file, if it was computed here; a failed write leaves no file and no error."""
+    def store(self, basis: SpectralBasis) -> SpectralBasis:
+        """Leave ``basis`` in the basis file, if it was computed here, and return it.
+
+        A failed write leaves no file and no error.
+        """
         if self.key is None or self.cached is not None:
-            return
+            return basis
         # on a little-endian host these are the arrays' own memory, hashed and written without a copy
         body = [np.ascontiguousarray(a, dtype="<f8") for a in (basis.frequencies, basis.modes)]
         digest = hashlib.sha256(body[0])
@@ -249,6 +252,7 @@ class _Instance:
         except OSError:
             with contextlib.suppress(OSError):
                 part.unlink()
+        return basis
 
 
 def _progress(total: int):
@@ -332,8 +336,8 @@ def cmd_select(args) -> int:
     out = _out_file(args.out) if args.out else directory / f"selection_{args.q}.json"
     instance = _Instance(directory, args.q)
     m = _check_target(args.m, instance.n)
-    basis = instance.basis()
-    result = _greedy_from_basis(basis, m, k)
+    # stored first and held by no local, so the selector frees the modes before its first refresh
+    result = _greedy_from_basis(instance.store(instance.basis()), m, k)
     _write_json(
         out,
         {
@@ -345,7 +349,6 @@ def cmd_select(args) -> int:
             "manifest": _manifest("select", args, dir=str(directory), out=str(out)),
         },
     )
-    instance.store(basis)
     print(f"final cutoff estimate: {result.cutoffs[-1]:.12g}")
     return _EXIT_OK
 
@@ -489,6 +492,8 @@ def _add_bench_flags(parser, realizations: int, mse: bool = False) -> None:
     parser.set_defaults(func=cmd_bench)
 
 
+# built once per process: argparse does not change a parser while it parses
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="graphsampling",

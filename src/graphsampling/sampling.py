@@ -271,6 +271,8 @@ def _greedy_from_basis(basis: SpectralBasis, m: int, k: int) -> SamplingResult:
     m = _check_target(m, n)
     q = inner.entries
     v, d = _eigenpairs(basis, k)
+    # a caller that handed the basis over, holding no reference, frees its modes before the first refresh
+    del basis
     # B^{2k} on the vertices `held`, formed at the first refresh and cut down at each one
     gram = None
     # (vals, vecs): eigenpairs of B^{2k} on the vertices `held`, whose rows `rows` are picked since

@@ -75,6 +75,8 @@ def compute_basis(variation: np.ndarray, inner: InnerProduct) -> SpectralBasis:
         If the input contains non-finite values or the eigensolver fails.
     """
     sym = _symmetrized(variation, inner)
+    # a caller that handed its matrix over, holding no reference, frees it before the eigensolver
+    del variation
     try:
         lam, modes = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:

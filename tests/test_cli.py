@@ -8,6 +8,7 @@ import shutil
 import signal
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,19 @@ class TestSelect:
 
     def test_bad_flags_exit_two(self):
         assert main(["select", "--m", "not-a-number"]) == 2
+
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        gen(tmp_path, "--q", "degree")
+        argv = ["select", "--dir", str(tmp_path), "--q", "degree", "--m", "6"]
+        assert main([*argv, "--out", str(tmp_path / "named.json")]) == 0
+        # the last call's --out is not the next call's default
+        assert main(argv) == 0
+        assert (tmp_path / "named.json").exists() and (tmp_path / "selection_degree.json").exists()
+        capsys.readouterr()
+        assert main([*argv, "--k", "x"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert main(argv) == 0
 
     def test_manifest_parameters(self, tmp_path):
         gen(tmp_path, "--q", "degree")
@@ -797,7 +811,9 @@ def test_unreadable_sources_leave_no_basis_file(selected, monkeypatch):
 
 # n x n float64 arrays each command may hold at once, as tracemalloc counts them (numpy's arrays
 # and Python's objects, not LAPACK's workspace): above the 3.1 and 4.5 held, below the 5.1 and
-# 6.6 held when each step kept its own copies and temporaries
+# 6.6 held when each step kept its own copies and temporaries. select's 4.5 is the parse of
+# graph.json in cli._Instance; its resident peak is set by the eigensolves, which tracemalloc
+# does not see in full (test_select_frees_what_each_eigensolve_does_not_read)
 PEAK_ARRAYS = {"gen": 4.0, "select": 5.5}
 
 
@@ -815,6 +831,45 @@ def test_gen_and_select_hold_few_n_by_n_arrays(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < PEAK_ARRAYS[name] * 8 * n * n, f"{name} held {peak / (8 * n * n):.2f} n x n arrays"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a call's arguments on the caller's stack")
+def test_select_frees_what_each_eigensolve_does_not_read(tmp_path, monkeypatch):
+    assert main(["gen", "--n", "60", "--seed", "3", "--out", str(tmp_path)]) == 0
+    laplacians, modes, calls = [], [], []
+    laplacian = cli.combinatorial_laplacian
+
+    def recorded_laplacian(graph):
+        out = laplacian(graph)
+        laplacians.append(weakref.ref(out))
+        return out
+
+    post_init = gs.SpectralBasis.__post_init__
+
+    def recorded_modes(self):
+        post_init(self)
+        modes.append(weakref.ref(self.modes))
+
+    eigh = np.linalg.eigh
+
+    def alive(refs):
+        return any(ref() is not None for ref in refs)
+
+    def recorded_eigh(a, *args, **kwargs):
+        calls.append((len(a), alive(laplacians), alive(modes)))
+        return eigh(a, *args, **kwargs)
+
+    # no patch wraps compute_basis or _greedy_from_basis: a wrapper's frame would hold the arrays
+    monkeypatch.setattr(cli, "combinatorial_laplacian", recorded_laplacian)
+    monkeypatch.setattr(gs.SpectralBasis, "__post_init__", recorded_modes)
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    # the first refresh comes at 8 picks (8^2 > 60), so 20 picks refresh at sizes 52 and 44
+    assert main(["select", "--dir", str(tmp_path), "--m", "20"]) == 0
+    assert len(laplacians) == len(modes) == 1
+    (size, laplacian_alive, _), *growth = calls
+    assert size == 60 and not laplacian_alive
+    assert {52, 44} <= {size for size, _, _ in growth}
+    assert not any(modes_alive for _, _, modes_alive in growth)
 
 
 def test_pocs_x_hat_equals_the_public_call(tmp_path):
